@@ -24,7 +24,7 @@ use lm_engine::GenerateRequest;
 use lm_fault::{FaultConfig, FaultInjector, FaultStats, RetryPolicy, StormProfile};
 use lm_serve::{
     synth_traffic, AnalyticBackend, EngineBackend, Request, ServeBackend, ServeConfig,
-    ServeOutcome, ServePlan, ServeSession, ServeStats,
+    ServeOutcome, ServePlan, ServeRun, ServeSession, ServeStats,
 };
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +110,8 @@ fn storm_pass(
     let (plan, out) = ServeSession::new(&backend)
         .config(cfg)
         .run(traffic)
-        .unwrap_or_else(|e| panic!("chaos serving failed: {e}"))
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap_or_else(|e| panic!("chaos serving failed: {e}"));
     (plan, out, injector.stats())
 }
 

@@ -20,7 +20,7 @@
 
 use lm_serve::{
     obs_probe, plan_admission, serve_timeline, synth_traffic, AnalyticBackend, ServeBackend,
-    ServeConfig, ServePlan, ServeSession, SloPolicy,
+    ServeConfig, ServePlan, ServeRun, ServeSession, SloPolicy,
 };
 use lm_trace::{expo, FlightDump, FlightRecorder, ServeDriftReport, Tracer};
 use serde::{Deserialize, Serialize};
@@ -141,8 +141,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> (ObsReport, String) {
     let (plan, out) = ServeSession::new(&backend)
         .config(cfg.clone())
         .run(traffic)
-        .unwrap_or_else(|e| panic!("obs serving failed: {e}"))
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap_or_else(|e| panic!("obs serving failed: {e}"));
 
     // 1. Drift: the scheduler's own record vs the model's predictions.
     let drift = out.obs.audit(&plan);

@@ -15,7 +15,7 @@
 
 use lm_serve::{
     synth_shared_prefix_traffic, synth_traffic, AnalyticBackend, KvMode, ServeConfig, ServeMode,
-    ServeOutcome, ServePlan, ServeSession,
+    ServeOutcome, ServePlan, ServeRun, ServeSession,
 };
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
@@ -190,8 +190,8 @@ fn continuous_row(
     let (plan, out) = ServeSession::new(backend)
         .config(cfg)
         .run(traffic)
-        .unwrap_or_else(|e| panic!("continuous serving ({label}) failed: {e}"))
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap_or_else(|e| panic!("continuous serving ({label}) failed: {e}"));
     let kv = match kv_mode {
         KvMode::Paged => "paged",
         KvMode::Slab => "slab",

@@ -15,7 +15,7 @@
 use lm_offload::{DegradationController, QuantCostParams, ServeDegradeLadder};
 use lm_serve::{
     synth_traffic, AnalyticBackend, RejectReason, ServeBackend, ServeConfig, ServeMode,
-    ServeOutcome, ServePlan, ServeSession, SloPolicy,
+    ServeOutcome, ServePlan, ServeRun, ServeSession, SloPolicy,
 };
 use lm_trace::Tracer;
 use serde::{Deserialize, Serialize};
@@ -142,8 +142,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
     let (plan, observe_out) = ServeSession::new(&backend)
         .config(observe_cfg)
         .run(traffic.clone())
-        .unwrap_or_else(|e| panic!("observe-mode serving failed: {e}"))
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap_or_else(|e| panic!("observe-mode serving failed: {e}"));
 
     let enforced_cfg = ServeConfig {
         tracer: Tracer::new(),
@@ -154,8 +154,8 @@ pub fn run(seed: u64, rps: f64, n: usize) -> SloReport {
     let (_, enforced_out) = ServeSession::new(&backend)
         .config(enforced_cfg)
         .run(traffic.clone())
-        .unwrap_or_else(|e| panic!("enforcing-mode serving failed: {e}"))
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap_or_else(|e| panic!("enforcing-mode serving failed: {e}"));
 
     let seq = ServeSession::new(&backend)
         .mode(ServeMode::Sequential)

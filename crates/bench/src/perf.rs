@@ -150,8 +150,8 @@ pub fn serve_rows() -> Vec<BenchRow> {
     let t = Instant::now();
     let served = ServeSession::new(&backend).config(cfg.clone()).run(traffic);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let (plan, out) = match served {
-        Ok(r) => r.into_continuous(),
+    let (plan, out) = match served.and_then(ServeRun::into_continuous) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("warning: serve bench lane failed: {e}");
             rows.push(BenchRow::new("serve/continuous/32req", "failed", 1.0, "bool"));
@@ -197,7 +197,7 @@ pub fn serve_rows() -> Vec<BenchRow> {
                 kv_mode,
                 ..ServeConfig::default()
             };
-            ServeSession::new(&backend).config(cfg).run(traffic).map(ServeRun::into_continuous)
+            ServeSession::new(&backend).config(cfg).run(traffic).and_then(ServeRun::into_continuous)
         };
         match (
             lane(KvMode::Paged, shared.clone()),

@@ -219,6 +219,15 @@ pub enum ServeError {
     /// reservations make this unreachable; surfacing it as an error
     /// keeps the scheduler panic-free if the arithmetic ever regresses.
     KvProtocol(lm_kvpool::KvProtocolError),
+    /// The requested serve mode cannot do what was asked: an invalid
+    /// mode (`ServeMode::Static { batch: 0 }`), or a continuous-only
+    /// accessor on a baseline run.
+    Mode(String),
+    /// An end-of-run conservation law failed: a request resolved other
+    /// than exactly once, admissions did not balance, or paged-KV
+    /// accounting did not return to quiescence. Checked once per run in
+    /// every build.
+    Conservation(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -229,6 +238,8 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Engine(e) => write!(f, "backend error: {e}"),
             ServeError::KvProtocol(e) => write!(f, "paged-KV protocol violation: {e}"),
+            ServeError::Mode(msg) => write!(f, "invalid serve mode: {msg}"),
+            ServeError::Conservation(law) => write!(f, "serve conservation law broken: {law}"),
         }
     }
 }

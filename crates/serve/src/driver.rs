@@ -7,9 +7,9 @@
 //! Two drivers exist:
 //!
 //! - [`VirtualDriver`] — the identity driver: `pace` returns the
-//!   modelled clock unchanged and `deliver` always succeeds, so the
-//!   scheduler byte-reproduces the pre-split `serve_continuous` outcomes
-//!   (the golden `results/serve.json` test holds it to that).
+//!   modelled clock unchanged and `deliver` always succeeds, so virtual
+//!   runs are a pure function of their inputs (the committed-golden
+//!   tests over `results/*.json` hold it to that).
 //! - `AsyncDriver` (private to [`session`](crate::session)) — the tokio
 //!   front end: `pace` sleeps until scaled wall time catches the
 //!   modelled clock and returns whichever is later (wall deadlines feed
@@ -22,7 +22,7 @@ use crate::scheduler::TokenEvent;
 
 /// What happened to one streamed token at the transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
+pub(crate) enum Delivery {
     /// The client got (or will get) the token.
     Delivered,
     /// The client is gone — its receiver dropped. The scheduler resolves
@@ -42,7 +42,7 @@ pub enum Delivery {
 /// Contract: `pace` must be monotone (never return less than its
 /// argument) and the identity implementation must be exactly that —
 /// identity — so the virtual-clock path stays bit-identical.
-pub trait ServeDriver {
+pub(crate) trait ServeDriver {
     /// The scheduler advanced its modelled clock to `clock_us` (virtual
     /// microseconds). Returns the clock the run should proceed at; a
     /// real-time driver sleeps here until wall time catches up and may
@@ -64,15 +64,16 @@ pub trait ServeDriver {
 }
 
 /// The identity driver: virtual clock, synchronous callback delivery.
-/// [`serve_continuous_with`](crate::scheduler::serve_continuous_with)
-/// and [`ServeSession::run_streaming`](crate::ServeSession::run_streaming)
+/// [`ServeSession::run`](crate::ServeSession::run) (with a no-op
+/// callback) and
+/// [`ServeSession::run_streaming`](crate::ServeSession::run_streaming)
 /// are thin wrappers over this.
-pub struct VirtualDriver<'a> {
+pub(crate) struct VirtualDriver<'a> {
     on_token: &'a mut dyn FnMut(TokenEvent),
 }
 
 impl<'a> VirtualDriver<'a> {
-    pub fn new(on_token: &'a mut dyn FnMut(TokenEvent)) -> Self {
+    pub(crate) fn new(on_token: &'a mut dyn FnMut(TokenEvent)) -> Self {
         VirtualDriver { on_token }
     }
 }
@@ -80,16 +81,6 @@ impl<'a> VirtualDriver<'a> {
 impl ServeDriver for VirtualDriver<'_> {
     fn deliver(&mut self, event: TokenEvent) -> Delivery {
         (self.on_token)(event);
-        Delivery::Delivered
-    }
-}
-
-/// A driver that drops nothing and goes nowhere: the default for
-/// non-streaming runs.
-pub struct NullDriver;
-
-impl ServeDriver for NullDriver {
-    fn deliver(&mut self, _event: TokenEvent) -> Delivery {
         Delivery::Delivered
     }
 }
@@ -115,20 +106,5 @@ mod tests {
         );
         d.retire(1); // no-op
         assert_eq!(seen, vec![42]);
-    }
-
-    #[test]
-    fn null_driver_always_delivers() {
-        let mut d = NullDriver;
-        assert_eq!(d.pace(7), 7);
-        assert_eq!(
-            d.deliver(TokenEvent {
-                request_id: 0,
-                index: 0,
-                token: 1,
-                t_us: 0
-            }),
-            Delivery::Delivered
-        );
     }
 }

@@ -20,11 +20,12 @@
 //! - [`admission`]: the model-guided admission controller producing an
 //!   `LMA25x`-linted [`ServePlan`] (slots vs KV pool headroom vs the
 //!   block graph's Kahn width);
-//! - [`scheduler`]: the continuous scheduler core and its two baselines,
-//!   all parameterized over the [`driver`] clock/transport split;
-//! - [`session`]: the unified serve API — [`ServeSession`] subsumes the
-//!   deprecated `serve_*` free functions behind one builder (mode,
-//!   backend, SLO policy, fault plan, observability sinks) and adds the
+//! - [`scheduler`]: the phase-structured continuous scheduler core and
+//!   its two baselines; the core is driven through a crate-private
+//!   clock/transport split (`driver`);
+//! - [`session`]: the serve API — [`ServeSession`], one builder over
+//!   backend, mode and [`ServeConfig`] (SLO policy, fault plan,
+//!   observability sinks), with the virtual-clock runs and the
 //!   real-time front end [`ServeSession::run_async`]: wall-clock pacing
 //!   ([`AsyncConfig::time_scale`]), per-request bounded tokio token
 //!   channels, disconnect-on-drop, and `LMA30x` pre-flight;
@@ -51,7 +52,7 @@
 
 pub mod admission;
 pub mod backend;
-pub mod driver;
+mod driver;
 pub mod obs;
 pub mod request;
 pub mod scheduler;
@@ -69,11 +70,6 @@ pub use request::{
     synth_shared_prefix_traffic, synth_traffic, ArrivalQueue, CancelReason, CancelToken,
     Cancellation, RejectReason, Rejection, Request, Response,
 };
-pub use driver::{Delivery, NullDriver, ServeDriver, VirtualDriver};
-#[allow(deprecated)]
-pub use scheduler::{
-    serve_continuous, serve_continuous_with, serve_sequential, serve_static, ServeOutcome,
-    ServeStats, TokenEvent,
-};
+pub use scheduler::{ServeOutcome, ServeStats, TokenEvent};
 pub use session::{AsyncConfig, ServeMode, ServeRun, ServeSession, TokenStreams};
 pub use slo::{DegradeLadder, DegradeRung, SloPolicy, StaticLadder, TtftModel};

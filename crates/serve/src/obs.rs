@@ -86,7 +86,7 @@ pub struct LifecycleEvent {
 /// Scheduler state sampled once per block boundary (post-admission,
 /// pre-decode), plus idle/terminal samples so the occupancy integral
 /// covers the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BoundaryObs {
     /// Virtual microseconds of the sample.
     pub t_us: u64,

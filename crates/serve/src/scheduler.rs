@@ -5,8 +5,8 @@
 //! Determinism contract: the scheduler runs on a virtual clock (u64
 //! microseconds) advanced only by the backend's modelled task costs.
 //! Admission order is a total order — `(priority desc, arrival asc, id
-//! asc)` — and every block boundary processes arrivals, retirements and
-//! admissions in a fixed sequence, so a run is a pure function of
+//! asc)` — and every block boundary runs the same phases in the same
+//! order (see [`Scheduler`]), so a run is a pure function of
 //! `(requests, backend, config)`: byte-identical outcomes across runs
 //! and machines.
 //!
@@ -19,10 +19,10 @@
 //! Transient grant failures retry under the configured `lm-fault`
 //! policy, then defer to the next boundary while other sequences still
 //! hold KV. Each decode step delivers one token to every active slot
-//! (streamed through the `on_token` callback) and, in paged mode,
-//! appends it to the slot's page table (forking a shared page on first
-//! divergent write); a finished sequence drops its KV at the boundary,
-//! and the freed bytes admit the next queued request.
+//! (streamed through the driver) and, in paged mode, appends it to the
+//! slot's page table (forking a shared page on first divergent write); a
+//! finished sequence drops its KV at the boundary, and the freed bytes
+//! admit the next queued request.
 //!
 //! Overload protection (DESIGN.md §12): every boundary also sweeps slot
 //! fates — explicit cancels and injected client disconnects resolve as
@@ -38,13 +38,14 @@
 
 use crate::admission::{KvMode, ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
-use crate::driver::{Delivery, NullDriver, ServeDriver, VirtualDriver};
+use crate::driver::{Delivery, ServeDriver};
 use crate::obs::{BoundaryObs, LifecycleEvent, RequestPhase, ServeObs, TtftSample};
 use crate::request::{
     micros, ArrivalQueue, CancelReason, Cancellation, RejectReason, Rejection, Request, Response,
 };
 use crate::slo::TtftModel;
-use lm_engine::{validate_request, EngineError, Lease, MemPool};
+use lm_engine::{validate_request, EngineError, Lease, MemPool, PoolExhausted};
+use lm_fault::RetryError;
 use lm_kvpool::{PageConfig, PagedKvPool, SeqKv};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -95,7 +96,7 @@ impl ServeStats {
 }
 
 /// What one serving run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServeOutcome {
     pub responses: Vec<Response>,
     pub rejections: Vec<Rejection>,
@@ -162,6 +163,23 @@ impl ServeOutcome {
     pub fn terminal_count(&self) -> usize {
         self.responses.len() + self.rejections.len() + self.cancellations.len()
     }
+
+    /// Close a run that ended at `clock_us`: terminal records in id order.
+    fn closed_at(mut self, clock_us: u64) -> Self {
+        self.responses.sort_by_key(|r| r.id);
+        self.rejections.sort_by_key(|r| r.id);
+        self.cancellations.sort_by_key(|c| c.id);
+        self.sim_seconds = clock_us as f64 / 1e6;
+        self
+    }
+}
+
+/// Record the virtual interval `from_us..to_us` in histogram `name`, in
+/// seconds; returns its length in microseconds.
+fn record_interval(tracer: &lm_trace::Tracer, name: &str, from_us: u64, to_us: u64) -> u64 {
+    let us = to_us.saturating_sub(from_us);
+    tracer.histogram_record(name, us as f64 / 1e6);
+    us
 }
 
 /// A request waiting — or, after a crash/preemption, *re*-waiting — for
@@ -262,628 +280,565 @@ fn admission_order(ready: &mut [Pending], edf: bool) {
     });
 }
 
-/// Snapshot the analytic TTFT predictor's inputs at a block boundary.
-/// Step time comes from the admission plan's full-occupancy estimate and
-/// prefill from the wait queue's padding envelope, both scaled by the
-/// current degrade factor — the same model that times the run predicts
-/// it.
-///
-/// In paged mode the plan's slot count is only a ceiling: pages are the
-/// binding resource (DESIGN.md §14). The predictor therefore prices
-/// `free_slots` by walking the wait queue in admission order until the
-/// pool's free pages run out, and caps turnover concurrency at what the
-/// pool can hold at the *observed* per-sequence page residency.
-fn ttft_model(
-    plan: &ServePlan,
-    backend: &dyn ServeBackend,
-    active: &[Slot],
-    ready: &[Pending],
-    degrade_factor: f64,
-    paged: Option<&Arc<PagedKvPool>>,
-) -> TtftModel {
-    let mut remaining: Vec<u64> = active.iter().map(Slot::remaining).collect();
-    remaining.sort_unstable();
-    let queued_steps: u64 = ready
-        .iter()
-        .map(|p| p.req.gen_len.saturating_sub(p.emitted) as u64)
-        .sum();
-    let n = (remaining.len() + ready.len()).max(1);
-    let mean_gen_steps = (remaining.iter().sum::<u64>() + queued_steps) as f64 / n as f64;
-    let pad_guess = ready
-        .iter()
-        .map(Pending::effective_prompt_len)
-        .max()
-        .unwrap_or(1);
-    let mut slots = plan.slots;
-    let mut free = plan.slots.saturating_sub(active.len());
-    if let Some(pp) = paged {
-        // Immediate admissions: queue positions fit until free pages do.
-        let mut pages_free = pp.capacity_pages().saturating_sub(pp.pages_in_use());
-        let mut admissible = 0usize;
-        for p in ready.iter().take(free) {
-            let need = pp.required_pages(
-                p.effective_prompt_len(),
-                p.req.gen_len.saturating_sub(p.emitted),
-            );
-            if need > pages_free {
-                break;
-            }
-            pages_free -= need;
-            admissible += 1;
-        }
-        free = admissible;
-        // Turnover concurrency: observed residency when sequences are
-        // resident, the plan's expected half-envelope otherwise.
-        let mapped: usize = active
-            .iter()
-            .map(|s| match &s.kv {
-                SlotKv::Paged(seq) => seq.mapped_pages(),
-                SlotKv::Slab(_) => 0,
-            })
-            .sum();
-        let per_seq = if active.is_empty() || mapped == 0 {
-            (plan.pages_per_slot.div_ceil(2).max(1)) as usize
-        } else {
-            (mapped / active.len()).max(1)
-        };
-        slots = slots.min((pp.capacity_pages() / per_seq).max(1));
+/// Validate `req` against the backend's model and generate its token
+/// stream: the admission step all three serve modes share.
+fn materialize(backend: &dyn ServeBackend, req: &Request) -> Result<Vec<u32>, RejectReason> {
+    if let Err(EngineError::InvalidRequest { reason }) = validate_request(
+        backend.model(),
+        std::slice::from_ref(&req.prompt),
+        req.gen_len,
+        1,
+    ) {
+        return Err(RejectReason::Invalid(reason));
     }
-    // Step quote from the same cost source the boundary charger uses:
-    // the live contexts plus this boundary's admissions. The plan's
-    // `est_step_seconds` is a full-occupancy, full-context envelope —
-    // fine for capacity planning, but as a TTFT term it over-quotes
-    // every step of a partially filled block.
-    let mut contexts: Vec<u64> = active.iter().map(|s| s.context).collect();
-    for p in ready.iter().take(free) {
-        contexts.push(p.effective_prompt_len() as u64 + 1);
-    }
-    let step_s = if contexts.is_empty() {
-        plan.est_step_seconds
-    } else {
-        backend.decode_step_seconds(&contexts)
-    };
-    TtftModel {
-        slots,
-        free_slots: free,
-        remaining_sorted: remaining,
-        mean_gen_steps,
-        prefill_s: backend.prefill_seconds(pad_guess, free.max(1)) * degrade_factor,
-        step_s: step_s * degrade_factor,
-    }
+    backend
+        .materialize(req)
+        .map_err(|e| RejectReason::AdmissionFailed(e.to_string()))
 }
 
-/// Run the continuous-batching scheduler over `requests`; the plan is
-/// derived (and `LMA25x`-linted) by [`crate::plan_admission`] first.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).run(requests)` — the unified serve API"
-)]
-pub fn serve_continuous(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    run_continuous(backend, cfg, requests, &mut NullDriver)
-}
-
-/// [`serve_continuous`] with per-token streaming delivery.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).run_streaming(requests, on_token)`"
-)]
-pub fn serve_continuous_with(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-    on_token: &mut dyn FnMut(TokenEvent),
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    run_continuous(backend, cfg, requests, &mut VirtualDriver::new(on_token))
+/// One boundary's admission round: the padding envelope (slab mode),
+/// the longest span of unshared known tokens (what paged prefill pays
+/// for), and the slots granted so far.
+#[derive(Default)]
+struct Round {
+    pad_len: usize,
+    prefill_span: usize,
+    admitted: Vec<Slot>,
 }
 
 /// The continuous-batching core, parameterized over the clock/transport
-/// [`ServeDriver`] (DESIGN.md §16). With [`VirtualDriver`] or
-/// [`NullDriver`] this is byte-for-byte the pre-split scheduler: `pace`
-/// is the identity and every delivery succeeds, so outcomes are a pure
-/// function of `(requests, backend, config)` exactly as before. A
-/// real-time driver may stretch the clock (wall jitter feeds the same
-/// deadline/SLO machinery) and may report a token undeliverable, which
-/// resolves at the next boundary through the scheduler's existing
-/// client-disconnect vocabulary.
-pub(crate) fn run_continuous(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-    driver: &mut dyn ServeDriver,
-) -> Result<(ServePlan, ServeOutcome), ServeError> {
-    let plan = crate::admission::plan_admission(backend, cfg)?;
-    // SLO pre-flight: an unmeetable or actuator-less policy is a typed
-    // error before any request is served, mirroring the LMA25x plan gate.
-    if let Some(slo) = cfg.slo.as_ref() {
-        let report = lm_analyze::lint_slo(&crate::admission::slo_probe(
-            &plan,
+/// [`ServeDriver`] (DESIGN.md §16). With the virtual driver `pace` is the
+/// identity and every delivery succeeds, so outcomes are a pure function
+/// of `(requests, backend, config)`. A real-time driver may stretch the
+/// clock (wall jitter feeds the same deadline/SLO machinery) and may
+/// report a token undeliverable, which resolves at the next boundary
+/// through the client-disconnect vocabulary.
+///
+/// [`Scheduler::run`] drives one method per boundary phase, always in
+/// this order: [`arrivals`](Self::arrivals) →
+/// [`sweep_slots`](Self::sweep_slots) → [`sweep_queue`](Self::sweep_queue)
+/// → [`audit_ttft`](Self::audit_ttft) → [`monitor_slo`](Self::monitor_slo)
+/// → [`shed`](Self::shed) → [`admit`](Self::admit) →
+/// [`sample_boundary`](Self::sample_boundary) →
+/// [`decode_step`](Self::decode_step) → [`retire`](Self::retire), and
+/// [`finish`](Self::finish) once every request has resolved.
+pub(crate) struct Scheduler<'a> {
+    backend: &'a dyn ServeBackend,
+    cfg: &'a ServeConfig,
+    driver: &'a mut dyn ServeDriver,
+    plan: ServePlan,
+    pool: Arc<MemPool>,
+    /// Paged mode layers the block-granular allocator over the same
+    /// MemPool, so byte accounting (peak, leak detection, injected
+    /// pressure) stays unified across modes.
+    paged: Option<Arc<PagedKvPool>>,
+    /// Requests submitted; the finish phase checks each resolved once.
+    total: usize,
+    queue: ArrivalQueue,
+    ready: Vec<Pending>,
+    active: Vec<Slot>,
+    clock_us: u64,
+    /// One-way degrade ratchet driven by the SLO monitor.
+    degrade_factor: f64,
+    degrade_level: usize,
+    /// Boundary ordinal, keying the per-step stall draw.
+    boundary: u64,
+    /// Predicted TTFT (relative to arrival, µs) sampled once per request
+    /// the first time it is seen in the wait queue.
+    predicted_ttft: BTreeMap<u64, u64>,
+    /// Requests whose transport failed a delivery (receiver dropped, or
+    /// backpressure grace exhausted); resolved as client disconnects at
+    /// the next boundary sweep. Always empty under the virtual driver.
+    transport_drops: BTreeMap<u64, Delivery>,
+    /// Free stable slot indices for the timeline, ordered so `pop`
+    /// yields the smallest.
+    free_slot_ids: Vec<u32>,
+    /// Terminal records, counters and the observability record,
+    /// accumulated as the run goes; [`Self::finish`] fills in the rest.
+    out: ServeOutcome,
+}
+
+impl<'a> Scheduler<'a> {
+    /// Plan admission (`LMA25x`-linted) and, with an SLO policy, run the
+    /// `LMA26x` pre-flight: an unmeetable or actuator-less policy is a
+    /// typed error before any request is served.
+    pub(crate) fn new(
+        backend: &'a dyn ServeBackend,
+        cfg: &'a ServeConfig,
+        requests: Vec<Request>,
+        driver: &'a mut dyn ServeDriver,
+    ) -> Result<Self, ServeError> {
+        let plan = crate::admission::plan_admission(backend, cfg)?;
+        if let Some(slo) = cfg.slo.as_ref() {
+            let probe = crate::admission::slo_probe(&plan, backend, slo, cfg.ladder.as_ref());
+            let report = lm_analyze::lint_slo(&probe);
+            if !report.is_clean() {
+                return Err(ServeError::Plan(report));
+            }
+        }
+        if cfg.flight.is_enabled() {
+            // Tee injected faults into the same ring as scheduler decisions.
+            cfg.fault.set_flight(cfg.flight.clone());
+        }
+        let pool = MemPool::new("serve.kv", plan.kv_pool_bytes as usize);
+        pool.attach_fault(cfg.fault.clone());
+        let paged = (plan.kv_mode == KvMode::Paged).then(|| {
+            PagedKvPool::new(
+                pool.clone(),
+                PageConfig {
+                    page_tokens: plan.page_tokens as usize,
+                    bytes_per_token: (plan.page_bytes / plan.page_tokens.max(1)) as usize,
+                },
+            )
+        });
+        Ok(Scheduler {
             backend,
-            slo,
-            cfg.ladder.as_ref(),
-        ));
-        if !report.is_clean() {
-            return Err(ServeError::Plan(report));
-        }
+            cfg,
+            driver,
+            free_slot_ids: (0..plan.slots as u32).rev().collect(),
+            plan,
+            pool,
+            paged,
+            total: requests.len(),
+            queue: ArrivalQueue::new(requests),
+            ready: Vec::new(),
+            active: Vec::new(),
+            clock_us: 0,
+            degrade_factor: 1.0,
+            degrade_level: 0,
+            boundary: 0,
+            predicted_ttft: BTreeMap::new(),
+            transport_drops: BTreeMap::new(),
+            out: ServeOutcome::default(),
+        })
     }
-    let tracer = &cfg.tracer;
-    let flight = &cfg.flight;
-    if flight.is_enabled() {
-        // Tee injected faults into the same ring as scheduler decisions.
-        cfg.fault.set_flight(flight.clone());
-    }
-    let pool = MemPool::new("serve.kv", plan.kv_pool_bytes as usize);
-    pool.attach_fault(cfg.fault.clone());
-    // Paged mode layers the block-granular allocator over the same
-    // MemPool, so byte accounting (peak, leak detection, injected
-    // pressure) stays unified across modes.
-    let paged = (plan.kv_mode == KvMode::Paged).then(|| {
-        PagedKvPool::new(
-            pool.clone(),
-            PageConfig {
-                page_tokens: plan.page_tokens as usize,
-                bytes_per_token: (plan.page_bytes / plan.page_tokens.max(1)) as usize,
-            },
-        )
-    });
 
-    let total = requests.len();
-    let mut queue = ArrivalQueue::new(requests);
-    let mut ready: Vec<Pending> = Vec::new();
-    let mut active: Vec<Slot> = Vec::new();
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
-    let mut cancellations: Vec<Cancellation> = Vec::new();
-    let mut stats = ServeStats::default();
-    let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut padding = 0u64;
-    let mut deadline_misses = 0u64;
-    // One-way degrade ratchet driven by the SLO monitor.
-    let mut degrade_factor = 1.0f64;
-    let mut degrade_level = 0usize;
-    // Boundary ordinal, keying the per-step stall draw.
-    let mut boundary = 0u64;
-    // Observability record: lifecycle events, boundary samples, and the
-    // TTFT prediction audit (§13). All virtual-clock, all deterministic.
-    let mut obs = ServeObs::default();
-    // Predicted TTFT (relative to arrival, µs) sampled once per request
-    // the first time it is seen in the wait queue.
-    let mut predicted_ttft: BTreeMap<u64, u64> = BTreeMap::new();
-    // Requests whose transport failed a delivery (receiver dropped, or
-    // backpressure grace exhausted); resolved as client disconnects at
-    // the next boundary sweep. Always empty under the virtual drivers.
-    let mut transport_drops: BTreeMap<u64, Delivery> = BTreeMap::new();
-    // Free stable slot indices for the timeline; smallest index first.
-    let mut free_slot_ids: Vec<u32> = (0..plan.slots as u32).rev().collect();
-    let idle_boundary = |t_us: u64, pending: usize, degrade: f64| BoundaryObs {
-        t_us,
-        queued: 0,
-        pending_arrivals: pending,
-        active_slots: 0,
-        slots: plan.slots,
-        pages_in_use: 0,
-        pages_demand: 0,
-        predicted_ttft_p99_us: None,
-        degrade_factor: degrade,
-    };
-
-    loop {
-        for req in queue.pop_arrived(clock_us) {
-            obs.lifecycle.push(LifecycleEvent {
-                t_us: req.arrival_us,
-                dur_us: 0,
-                request: req.id,
-                slot: None,
-                phase: RequestPhase::Queued,
-            });
-            ready.push(Pending::fresh(req));
-        }
-        if active.is_empty() && ready.is_empty() {
-            match queue.next_arrival_us() {
-                Some(t) => {
-                    // Sample the idle gap so the occupancy integral
-                    // covers it (nothing runs until the next arrival).
-                    obs.boundaries
-                        .push(idle_boundary(clock_us, queue.len(), degrade_factor));
-                    clock_us = driver.pace(t);
-                    continue;
+    /// Serve every request to a terminal state.
+    pub(crate) fn run(mut self) -> Result<(ServePlan, ServeOutcome), ServeError> {
+        loop {
+            self.arrivals();
+            if self.active.is_empty() && self.ready.is_empty() {
+                // Sample the idle gap so the occupancy integral covers
+                // it; the terminal sample closes the last interval.
+                let next = self.queue.next_arrival_us();
+                self.sample_idle();
+                match next {
+                    Some(t) => {
+                        self.clock_us = self.driver.pace(t);
+                        continue;
+                    }
+                    None => break,
                 }
-                None => {
-                    // Terminal sample: closes the last boundary interval.
-                    obs.boundaries.push(idle_boundary(clock_us, 0, degrade_factor));
+            }
+            self.sweep_slots();
+            self.sweep_queue();
+            admission_order(&mut self.ready, self.paged.is_some());
+            self.audit_ttft();
+            self.monitor_slo();
+            self.shed();
+            self.admit();
+            self.sample_boundary();
+            if self.active.is_empty() {
+                // Everything at this boundary was rejected; wait for traffic.
+                continue;
+            }
+            self.decode_step()?;
+            self.retire();
+        }
+        self.finish()
+    }
+
+    /// Record an instantaneous lifecycle event at the current clock.
+    fn event(&mut self, request: u64, slot: Option<u32>, phase: RequestPhase) {
+        self.span((self.clock_us, 0), request, slot, phase);
+    }
+
+    /// Record a lifecycle event covering `(t_us, dur_us)`.
+    fn span(&mut self, at: (u64, u64), request: u64, slot: Option<u32>, phase: RequestPhase) {
+        let (t_us, dur_us) = at;
+        self.out.obs.lifecycle.push(LifecycleEvent {
+            t_us,
+            dur_us,
+            request,
+            slot,
+            phase,
+        });
+    }
+
+    /// Record a scheduler decision in the flight ring; the label is only
+    /// formatted when the recorder is on.
+    fn note(&self, label: impl FnOnce() -> String) {
+        if self.cfg.flight.is_enabled() {
+            self.cfg.flight.record(self.clock_us, "sched", label());
+        }
+    }
+
+    /// Resolve request `id` as a typed rejection. Deadline-reason
+    /// rejections also count as deadline misses.
+    fn reject(&mut self, id: u64, reason: RejectReason) {
+        let tracer = &self.cfg.tracer;
+        tracer.counter_add("serve.rejected", 1);
+        if matches!(
+            reason,
+            RejectReason::DeadlineExpired { .. } | RejectReason::WouldMissDeadline { .. }
+        ) {
+            self.out.deadline_misses += 1;
+            tracer.counter_add("serve.deadline_miss", 1);
+        }
+        self.event(id, None, RequestPhase::Shed);
+        self.out.rejections.push(Rejection { id, reason });
+        self.driver.retire(id);
+    }
+
+    /// Send an evicted slot back to the wait queue with its stream
+    /// cached: an injected crash ([`RequestPhase::Crashed`], which keys
+    /// the resumption's crash draw afresh) or a preemption
+    /// ([`RequestPhase::Preempted`]). Its KV drops here.
+    fn requeue(&mut self, slot: Slot, phase: RequestPhase) {
+        let tracer = &self.cfg.tracer;
+        let crashed = phase == RequestPhase::Crashed;
+        if crashed {
+            self.out.stats.slot_crashes += 1;
+            tracer.counter_add("serve.slot_crashes", 1);
+            tracer.counter_add("serve.crash_retries", 1);
+        } else {
+            self.out.stats.preemptions += 1;
+            tracer.counter_add("serve.preemptions", 1);
+            tracer.instant("serve.preempted", "serve");
+        }
+        self.event(slot.req.id, Some(slot.slot_idx), phase);
+        self.event(slot.req.id, None, RequestPhase::Queued);
+        self.free_slot_ids.push(slot.slot_idx);
+        self.ready.push(Pending {
+            req: slot.req,
+            tokens: Some(slot.tokens),
+            emitted: slot.emitted,
+            first_token_us: slot.first_token_us,
+            crashes: slot.crashes + u32::from(crashed),
+        });
+    }
+
+    /// End an admitted request as a terminal cancellation (explicit, or
+    /// the client went away), reclaiming its KV on the spot.
+    fn end_in_slot(&mut self, slot: Slot, reason: CancelReason) {
+        let tracer = &self.cfg.tracer;
+        self.out.stats.cancelled_in_slot += 1;
+        tracer.counter_add("serve.cancelled", 1);
+        let what = match reason {
+            CancelReason::Explicit => "cancel",
+            CancelReason::ClientDisconnect => {
+                tracer.counter_add("serve.disconnects", 1);
+                "disconnect"
+            }
+        };
+        let id = slot.req.id;
+        self.event(id, Some(slot.slot_idx), RequestPhase::Cancelled);
+        self.note(|| format!("{what} request={id} delivered={}", slot.emitted));
+        self.free_slot_ids.push(slot.slot_idx);
+        self.out.cancellations.push(Cancellation {
+            id,
+            reason,
+            delivered: slot.emitted,
+            cancel_us: self.clock_us,
+        });
+        self.driver.retire(id);
+    }
+
+    /// Index of the lowest-priority, least-invested active slot, limited
+    /// to slots a waiter of priority `outranked_by` strictly outranks.
+    fn least_invested(&self, outranked_by: Option<u8>) -> Option<usize> {
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| outranked_by.map_or(true, |top| s.req.priority < top))
+            .min_by_key(|(_, s)| (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id)))
+            .map(|(i, _)| i)
+    }
+
+    /// Snapshot the analytic TTFT predictor's inputs. Step time comes
+    /// from the live contexts plus this boundary's admissions and
+    /// prefill from the wait queue's padding envelope, both scaled by
+    /// the current degrade factor — the same model that times the run
+    /// predicts it.
+    ///
+    /// In paged mode the plan's slot count is only a ceiling: pages are
+    /// the binding resource (DESIGN.md §14). The predictor therefore
+    /// prices `free_slots` by walking the wait queue in admission order
+    /// until the pool's free pages run out, and caps turnover
+    /// concurrency at what the pool can hold at the *observed*
+    /// per-sequence page residency.
+    fn ttft_model(&self) -> TtftModel {
+        let (plan, active, ready) = (&self.plan, &self.active, &self.ready);
+        let mut remaining: Vec<u64> = active.iter().map(Slot::remaining).collect();
+        remaining.sort_unstable();
+        let queued_steps: u64 = ready
+            .iter()
+            .map(|p| p.req.gen_len.saturating_sub(p.emitted) as u64)
+            .sum();
+        let n = (remaining.len() + ready.len()).max(1);
+        let mean_gen_steps = (remaining.iter().sum::<u64>() + queued_steps) as f64 / n as f64;
+        let pad_guess = ready
+            .iter()
+            .map(Pending::effective_prompt_len)
+            .max()
+            .unwrap_or(1);
+        let mut slots = plan.slots;
+        let mut free = plan.slots.saturating_sub(active.len());
+        if let Some(pp) = self.paged.as_ref() {
+            // Immediate admissions: queue positions fit until free pages do.
+            let mut pages_free = pp.capacity_pages().saturating_sub(pp.pages_in_use());
+            let mut admissible = 0usize;
+            for p in ready.iter().take(free) {
+                let need = pp.required_pages(
+                    p.effective_prompt_len(),
+                    p.req.gen_len.saturating_sub(p.emitted),
+                );
+                if need > pages_free {
                     break;
                 }
+                pages_free -= need;
+                admissible += 1;
             }
+            free = admissible;
+            // Turnover concurrency: observed residency when sequences are
+            // resident, the plan's expected half-envelope otherwise.
+            let mapped: usize = active
+                .iter()
+                .map(|s| match &s.kv {
+                    SlotKv::Paged(seq) => seq.mapped_pages(),
+                    SlotKv::Slab(_) => 0,
+                })
+                .sum();
+            let per_seq = if active.is_empty() || mapped == 0 {
+                (plan.pages_per_slot.div_ceil(2).max(1)) as usize
+            } else {
+                (mapped / active.len()).max(1)
+            };
+            slots = slots.min((pp.capacity_pages() / per_seq).max(1));
         }
+        // Step quote from the same cost source the boundary charger uses.
+        // The plan's `est_step_seconds` is a full-occupancy, full-context
+        // envelope — fine for capacity planning, but as a TTFT term it
+        // over-quotes every step of a partially filled block.
+        let mut contexts: Vec<u64> = active.iter().map(|s| s.context).collect();
+        for p in ready.iter().take(free) {
+            contexts.push(p.effective_prompt_len() as u64 + 1);
+        }
+        let step_s = if contexts.is_empty() {
+            plan.est_step_seconds
+        } else {
+            self.backend.decode_step_seconds(&contexts)
+        };
+        TtftModel {
+            slots,
+            free_slots: free,
+            remaining_sorted: remaining,
+            mean_gen_steps,
+            prefill_s: self.backend.prefill_seconds(pad_guess, free.max(1)) * self.degrade_factor,
+            step_s: step_s * self.degrade_factor,
+        }
+    }
 
-        // ---- boundary sweep 1: fates of running slots -----------------
-        // Cancellation (explicit or injected disconnect) is terminal and
-        // reclaims the KV lease here; a crash re-queues the request to
-        // resume from its prefix. Disconnect outranks crash when both
-        // land on the same token.
-        let mut still = Vec::with_capacity(active.len());
-        for slot in active.drain(..) {
-            if slot.req.cancel.is_cancelled_at(clock_us) {
-                stats.cancelled_in_slot += 1;
-                tracer.counter_add("serve.cancelled", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Cancelled,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("cancel request={} delivered={}", slot.req.id, slot.emitted),
-                    );
-                }
-                free_slot_ids.push(slot.slot_idx);
-                cancellations.push(Cancellation {
-                    id: slot.req.id,
-                    reason: CancelReason::Explicit,
-                    delivered: slot.emitted,
-                    cancel_us: clock_us,
-                });
-                driver.retire(slot.req.id);
+    /// Phase: move every request that has arrived by now into the wait
+    /// queue.
+    fn arrivals(&mut self) {
+        for req in self.queue.pop_arrived(self.clock_us) {
+            self.span((req.arrival_us, 0), req.id, None, RequestPhase::Queued);
+            self.ready.push(Pending::fresh(req));
+        }
+    }
+
+    /// Phase: fates of running slots. Cancellation (explicit or
+    /// disconnect, injected or from the transport) is terminal and
+    /// reclaims the KV here; a crash re-queues the request to resume
+    /// from its prefix. Disconnect outranks crash when both land on the
+    /// same token.
+    fn sweep_slots(&mut self) {
+        for slot in std::mem::take(&mut self.active) {
+            let id = slot.req.id;
+            if slot.req.cancel.is_cancelled_at(self.clock_us) {
+                self.end_in_slot(slot, CancelReason::Explicit);
             } else if slot.disconnect_at == Some(slot.emitted)
-                || transport_drops.contains_key(&slot.req.id)
+                || self.transport_drops.contains_key(&id)
             {
-                // Injected disconnects and real transport failures land
-                // in the same terminal state: the client is gone.
-                if transport_drops.remove(&slot.req.id) == Some(Delivery::Backpressured) {
+                if self.transport_drops.remove(&id) == Some(Delivery::Backpressured) {
+                    let tracer = &self.cfg.tracer;
                     tracer.counter_add("serve.backpressure_disconnects", 1);
                 }
-                stats.cancelled_in_slot += 1;
-                tracer.counter_add("serve.cancelled", 1);
-                tracer.counter_add("serve.disconnects", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Cancelled,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("disconnect request={} delivered={}", slot.req.id, slot.emitted),
-                    );
-                }
-                free_slot_ids.push(slot.slot_idx);
-                cancellations.push(Cancellation {
-                    id: slot.req.id,
-                    reason: CancelReason::ClientDisconnect,
-                    delivered: slot.emitted,
-                    cancel_us: clock_us,
-                });
-                driver.retire(slot.req.id);
+                self.end_in_slot(slot, CancelReason::ClientDisconnect);
             } else if slot.crash_at == Some(slot.emitted) {
-                stats.slot_crashes += 1;
-                tracer.counter_add("serve.slot_crashes", 1);
-                tracer.counter_add("serve.crash_retries", 1);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Crashed,
-                });
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: None,
-                    phase: RequestPhase::Queued,
-                });
-                if flight.is_enabled() {
-                    flight.record(
-                        clock_us,
-                        "sched",
-                        format!("slot_crash request={} emitted={}", slot.req.id, slot.emitted),
-                    );
-                }
-                free_slot_ids.push(slot.slot_idx);
-                ready.push(Pending {
-                    req: slot.req,
-                    tokens: Some(slot.tokens),
-                    emitted: slot.emitted,
-                    first_token_us: slot.first_token_us,
-                    crashes: slot.crashes + 1,
-                });
+                self.note(|| format!("slot_crash request={id} emitted={}", slot.emitted));
+                self.requeue(slot, RequestPhase::Crashed);
             } else {
-                still.push(slot);
+                self.active.push(slot);
             }
         }
-        active = still;
+    }
 
-        // ---- boundary sweep 2: queued fates ---------------------------
-        // Explicit cancels are terminal wherever the request sits. A
-        // deadline only expires a request that never held a slot — once
-        // admitted, the admission deadline is satisfied and a resumed
-        // request keeps running.
-        ready.retain(|p| {
-            if p.req.cancel.is_cancelled_at(clock_us) {
-                stats_cancel_queued(tracer, &mut cancellations, p, clock_us);
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: p.req.id,
-                    slot: None,
-                    phase: RequestPhase::Cancelled,
+    /// Phase: fates of queued requests. Explicit cancels are terminal
+    /// wherever the request sits. A deadline only expires a request that
+    /// never held a slot — once admitted, the admission deadline is
+    /// satisfied and a resumed request keeps running.
+    fn sweep_queue(&mut self) {
+        let now = self.clock_us;
+        for p in std::mem::take(&mut self.ready) {
+            let id = p.req.id;
+            if p.req.cancel.is_cancelled_at(now) {
+                self.cfg.tracer.counter_add("serve.cancelled", 1);
+                self.out.cancellations.push(Cancellation {
+                    id,
+                    reason: CancelReason::Explicit,
+                    delivered: p.emitted,
+                    cancel_us: now,
                 });
-                driver.retire(p.req.id);
-                return false;
+                self.event(id, None, RequestPhase::Cancelled);
+                self.driver.retire(id);
+            } else if let Some(d) = p.req.deadline_us.filter(|&d| p.emitted == 0 && d < now) {
+                self.cfg.tracer.instant("serve.deadline_expired", "serve");
+                let reason = RejectReason::DeadlineExpired {
+                    deadline_us: d,
+                    now_us: now,
+                };
+                self.reject(id, reason);
+            } else {
+                self.ready.push(p);
             }
-            if p.emitted == 0 {
-                if let Some(d) = p.req.deadline_us {
-                    if d < clock_us {
-                        deadline_misses += 1;
-                        tracer.counter_add("serve.rejected", 1);
-                        tracer.counter_add("serve.deadline_miss", 1);
-                        tracer.instant("serve.deadline_expired", "serve");
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::DeadlineExpired {
-                                deadline_us: d,
-                                now_us: clock_us,
-                            },
-                        });
-                        driver.retire(p.req.id);
-                        return false;
-                    }
-                }
-            }
-            true
-        });
+        }
+    }
 
-        admission_order(&mut ready, paged.is_some());
-
-        // ---- TTFT audit: sample the predictor once per request --------
-        // The first boundary that sees a request in the wait queue asks
-        // the same TtftModel the SLO monitor uses what its first-token
-        // time will be; the observed value pairs with it at first emit.
-        if ready
+    /// Phase: the first boundary that sees a request in the wait queue
+    /// asks the same [`TtftModel`] the SLO monitor uses what its
+    /// first-token time will be; the observed value pairs with it at
+    /// first emit.
+    fn audit_ttft(&mut self) {
+        if self
+            .ready
             .iter()
-            .any(|p| !predicted_ttft.contains_key(&p.req.id))
+            .all(|p| self.predicted_ttft.contains_key(&p.req.id))
         {
-            let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-            for (pos, p) in ready.iter().enumerate() {
-                predicted_ttft.entry(p.req.id).or_insert_with(|| {
-                    clock_us
-                        .saturating_add(model.predict_rel_ttft_us(pos))
-                        .saturating_sub(p.req.arrival_us)
-                });
-            }
+            return;
         }
-
-        // ---- SLO monitor: predict, then actuate -----------------------
-        if let Some(slo) = cfg.slo.as_ref() {
-            if !ready.is_empty() {
-                let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-                if let Some(p99) = model.predicted_p99_us(ready.len()) {
-                    tracer.gauge_set("serve.predicted_ttft_p99_s", p99 as f64 / 1e6);
-                    if p99 > slo.ttft_p99_us() {
-                        stats.predicted_violations += 1;
-                        tracer.counter_add("serve.slo_predicted_violations", 1);
-                        if slo.enforce {
-                            // Actuator 1: evict the lowest-priority,
-                            // least-invested slot — but only when slots
-                            // are the bottleneck and the best waiter
-                            // strictly outranks it (one per boundary).
-                            let mut acted = false;
-                            if slo.preempt && active.len() == plan.slots {
-                                let top = ready[0].req.priority;
-                                let victim = active
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, s)| s.req.priority < top)
-                                    .min_by_key(|(_, s)| {
-                                        (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id))
-                                    })
-                                    .map(|(i, _)| i);
-                                if let Some(i) = victim {
-                                    let slot = active.swap_remove(i);
-                                    stats.preemptions += 1;
-                                    tracer.counter_add("serve.preemptions", 1);
-                                    tracer.instant("serve.preempted", "serve");
-                                    obs.lifecycle.push(LifecycleEvent {
-                                        t_us: clock_us,
-                                        dur_us: 0,
-                                        request: slot.req.id,
-                                        slot: Some(slot.slot_idx),
-                                        phase: RequestPhase::Preempted,
-                                    });
-                                    obs.lifecycle.push(LifecycleEvent {
-                                        t_us: clock_us,
-                                        dur_us: 0,
-                                        request: slot.req.id,
-                                        slot: None,
-                                        phase: RequestPhase::Queued,
-                                    });
-                                    if flight.is_enabled() {
-                                        flight.record(
-                                            clock_us,
-                                            "sched",
-                                            format!(
-                                                "preempt request={} emitted={} p99_us={p99}",
-                                                slot.req.id, slot.emitted
-                                            ),
-                                        );
-                                    }
-                                    free_slot_ids.push(slot.slot_idx);
-                                    ready.push(Pending {
-                                        req: slot.req,
-                                        tokens: Some(slot.tokens),
-                                        emitted: slot.emitted,
-                                        first_token_us: slot.first_token_us,
-                                        crashes: slot.crashes,
-                                    });
-                                    admission_order(&mut ready, paged.is_some());
-                                    acted = true;
-                                }
-                            }
-                            // Actuator 2: climb one rung of the
-                            // model-guided fallback ladder (sticky for
-                            // the rest of the run).
-                            if !acted {
-                                if let Some(ladder) = cfg.ladder.as_ref() {
-                                    if let Some(rung) = ladder.rung(degrade_level + 1) {
-                                        degrade_level += 1;
-                                        degrade_factor =
-                                            degrade_factor.min(rung.step_time_factor.max(0.01));
-                                        stats.degradations += 1;
-                                        tracer.counter_add("serve.degradations", 1);
-                                        tracer.gauge_set(
-                                            "serve.degrade_level",
-                                            degrade_level as f64,
-                                        );
-                                        if flight.is_enabled() {
-                                            flight.record(
-                                                clock_us,
-                                                "sched",
-                                                format!(
-                                                    "degrade level={degrade_level} \
-                                                     factor={degrade_factor}"
-                                                ),
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let model = self.ttft_model();
+        for (pos, p) in self.ready.iter().enumerate() {
+            self.predicted_ttft.entry(p.req.id).or_insert_with(|| {
+                self.clock_us
+                    .saturating_add(model.predict_rel_ttft_us(pos))
+                    .saturating_sub(p.req.arrival_us)
+            });
         }
+    }
 
-        // ---- load shedding: reject doomed admissions up front ---------
-        if let Some(slo) = cfg.slo.as_ref() {
-            if slo.enforce && slo.shed && !ready.is_empty() {
-                let model = ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref());
-                let mut kept = Vec::with_capacity(ready.len());
-                let mut pos = 0usize;
-                for p in ready.drain(..) {
-                    // Never shed a request that already streamed tokens.
-                    if p.emitted > 0 {
-                        kept.push(p);
-                        pos += 1;
-                        continue;
-                    }
-                    let predicted_us = clock_us.saturating_add(model.predict_rel_ttft_us(pos));
-                    let slack_us = p.req.arrival_us.saturating_add(micros(slo.shed_slack_s));
-                    let eff_deadline = p.req.deadline_us.map_or(slack_us, |d| d.min(slack_us));
-                    if predicted_us > eff_deadline {
-                        stats.shed += 1;
-                        deadline_misses += 1;
-                        tracer.counter_add("serve.shed", 1);
-                        tracer.counter_add("serve.rejected", 1);
-                        tracer.counter_add("serve.deadline_miss", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        if flight.is_enabled() {
-                            flight.record(
-                                clock_us,
-                                "sched",
-                                format!(
-                                    "shed request={} predicted_us={predicted_us} \
-                                     deadline_us={eff_deadline}",
-                                    p.req.id
-                                ),
-                            );
-                        }
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::WouldMissDeadline {
-                                deadline_us: eff_deadline,
-                                predicted_ttft_us: predicted_us,
-                            },
-                        });
-                        driver.retire(p.req.id);
-                        // The queue shortened: later requests move up.
-                    } else {
-                        kept.push(p);
-                        pos += 1;
-                    }
-                }
-                ready = kept;
-            }
+    /// Phase: predict p99 TTFT over the wait queue and, under an
+    /// enforcing policy that predicts a violation, actuate — preempt
+    /// first, else climb the degrade ladder.
+    fn monitor_slo(&mut self) {
+        let (cfg, tracer) = (self.cfg, &self.cfg.tracer);
+        let Some(slo) = cfg.slo.as_ref() else { return };
+        if self.ready.is_empty() {
+            return;
         }
+        let Some(p99) = self.ttft_model().predicted_p99_us(self.ready.len()) else {
+            return;
+        };
+        tracer.gauge_set("serve.predicted_ttft_p99_s", p99 as f64 / 1e6);
+        if p99 <= slo.ttft_p99_us() {
+            return;
+        }
+        self.out.stats.predicted_violations += 1;
+        tracer.counter_add("serve.slo_predicted_violations", 1);
+        if slo.enforce && !(slo.preempt && self.preempt_for_slo(p99)) {
+            self.climb_ladder();
+        }
+    }
 
-        // ---- admit into free slots ------------------------------------
+    /// SLO actuator 1: evict the lowest-priority, least-invested slot —
+    /// but only when slots are the bottleneck and the best waiter
+    /// strictly outranks it (one per boundary). Returns whether it acted.
+    fn preempt_for_slo(&mut self, p99: u64) -> bool {
+        if self.active.len() != self.plan.slots {
+            return false;
+        }
+        let Some(i) = self.least_invested(Some(self.ready[0].req.priority)) else {
+            return false;
+        };
+        let slot = self.active.swap_remove(i);
+        let (id, emitted) = (slot.req.id, slot.emitted);
+        self.note(|| format!("preempt request={id} emitted={emitted} p99_us={p99}"));
+        self.requeue(slot, RequestPhase::Preempted);
+        admission_order(&mut self.ready, self.paged.is_some());
+        true
+    }
+
+    /// SLO actuator 2: climb one rung of the model-guided fallback
+    /// ladder (sticky for the rest of the run).
+    fn climb_ladder(&mut self) {
+        let (ladder, tracer) = (self.cfg.ladder.as_ref(), &self.cfg.tracer);
+        let Some(rung) = ladder.and_then(|l| l.rung(self.degrade_level + 1)) else {
+            return;
+        };
+        self.degrade_level += 1;
+        let (level, factor) = (self.degrade_level, rung.step_time_factor.max(0.01));
+        self.degrade_factor = self.degrade_factor.min(factor);
+        self.out.stats.degradations += 1;
+        tracer.counter_add("serve.degradations", 1);
+        tracer.gauge_set("serve.degrade_level", level as f64);
+        self.note(|| format!("degrade level={level} factor={}", self.degrade_factor));
+    }
+
+    /// Phase: under an enforcing, shedding policy, reject up front every
+    /// fresh request whose predicted first token lands past its deadline
+    /// (or the policy's slack). A request that already streamed tokens
+    /// is never shed; each shed moves later requests up the queue.
+    fn shed(&mut self) {
+        let cfg = self.cfg;
+        let Some(slo) = cfg.slo.as_ref().filter(|s| s.enforce && s.shed) else {
+            return;
+        };
+        if self.ready.is_empty() {
+            return;
+        }
+        let model = self.ttft_model();
+        let mut pos = 0usize;
+        for p in std::mem::take(&mut self.ready) {
+            let predicted_us = self.clock_us.saturating_add(model.predict_rel_ttft_us(pos));
+            let slack_us = p.req.arrival_us.saturating_add(micros(slo.shed_slack_s));
+            let eff_deadline = p.req.deadline_us.map_or(slack_us, |d| d.min(slack_us));
+            if p.emitted > 0 || predicted_us <= eff_deadline {
+                self.ready.push(p);
+                pos += 1;
+                continue;
+            }
+            let id = p.req.id;
+            self.out.stats.shed += 1;
+            cfg.tracer.counter_add("serve.shed", 1);
+            self.note(|| {
+                format!("shed request={id} predicted_us={predicted_us} deadline_us={eff_deadline}")
+            });
+            let reason = RejectReason::WouldMissDeadline {
+                deadline_us: eff_deadline,
+                predicted_ttft_us: predicted_us,
+            };
+            self.reject(id, reason);
+        }
+    }
+
+    /// Phase: fill free slots from the head of the wait queue, grant
+    /// each its KV, and charge the admitted group's prefill.
+    fn admit(&mut self) {
         // Smallest free timeline index is assigned first.
-        free_slot_ids.sort_unstable_by(|a, b| b.cmp(a));
-        let free = plan.slots.saturating_sub(active.len());
+        self.free_slot_ids.sort_unstable_by(|a, b| b.cmp(a));
+        let free = self.plan.slots.saturating_sub(self.active.len());
         let mut candidates: Vec<(Pending, Vec<u32>)> = Vec::new();
-        while candidates.len() < free && !ready.is_empty() {
-            let mut p = ready.remove(0);
-            match p.tokens.take() {
-                // A resume carries its cached stream; it was validated
-                // at first admission.
-                Some(tokens) => candidates.push((p, tokens)),
-                None => {
-                    if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-                        backend.model(),
-                        std::slice::from_ref(&p.req.prompt),
-                        p.req.gen_len,
-                        1,
-                    ) {
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::Invalid(reason),
-                        });
-                        driver.retire(p.req.id);
-                        continue;
-                    }
-                    match backend.materialize(&p.req) {
-                        Ok(tokens) => candidates.push((p, tokens)),
-                        Err(e) => {
-                            tracer.counter_add("serve.rejected", 1);
-                            obs.lifecycle.push(LifecycleEvent {
-                                t_us: clock_us,
-                                dur_us: 0,
-                                request: p.req.id,
-                                slot: None,
-                                phase: RequestPhase::Shed,
-                            });
-                            rejections.push(Rejection {
-                                id: p.req.id,
-                                reason: RejectReason::AdmissionFailed(e.to_string()),
-                            });
-                            driver.retire(p.req.id);
-                        }
-                    }
-                }
+        while candidates.len() < free && !self.ready.is_empty() {
+            let mut p = self.ready.remove(0);
+            // A resume carries its cached stream; it was validated at
+            // first admission.
+            let tokens = p.tokens.take().map(Ok);
+            match tokens.unwrap_or_else(|| materialize(self.backend, &p.req)) {
+                Ok(tokens) => candidates.push((p, tokens)),
+                Err(reason) => self.reject(p.req.id, reason),
             }
         }
-
         // Slab mode pads the group to its longest (effective) prompt and
         // leases the padded worst case so a slot never outgrows its
         // reservation. Paged mode reserves exactly the pages `known +
@@ -891,435 +846,371 @@ pub(crate) fn run_continuous(
         // already resident in the pool are mapped instead of refilled.
         // A resume's effective prompt includes its generated prefix,
         // whose re-prefill is the (only) cost of resumption.
-        let pad_len = candidates
-            .iter()
-            .map(|(p, _)| p.effective_prompt_len())
-            .max()
-            .unwrap_or(0);
-        // Longest span of *unshared* known tokens in the admitted group:
-        // what paged-mode prefill actually pays for.
-        let mut prefill_span = 0usize;
-        let mut admitted: Vec<Slot> = Vec::new();
-        for (mut p, tokens) in candidates {
-            let remaining = tokens.len() - p.emitted;
-            let on_retry = |_: u32, _: &lm_engine::PoolExhausted| {
-                cfg.fault.note_retry();
-                tracer.counter_add("serve.admission_retries", 1);
-            };
-            let paged_known: Option<Vec<u32>> = paged.as_ref().map(|_| {
-                p.req
-                    .prompt
-                    .iter()
-                    .chain(&tokens[..p.emitted])
-                    .copied()
-                    .collect()
-            });
-            let (mut grant, demand_bytes) = match (paged.as_ref(), paged_known.as_ref()) {
-                (Some(pp), Some(known)) => {
-                    let demand =
-                        pp.required_pages(known.len(), remaining) * pp.cfg().page_bytes();
-                    let grant = cfg
-                        .retry
-                        .run(|_| pp.admit(known, remaining).map(SlotKv::Paged), on_retry);
-                    (grant, demand)
-                }
-                _ => {
-                    let bytes = backend.kv_bytes_at(pad_len + remaining);
-                    let grant = cfg
-                        .retry
-                        .run(|_| pool.alloc(bytes).map(SlotKv::Slab), on_retry);
-                    (grant, bytes)
-                }
-            };
-            // ---- deadline rescue (paged only) -------------------------
-            // A queued deadline-holder must not starve behind residents
-            // that have no clock on them: page granularity makes partial
-            // eviction cheap, so reclaim pages from the least-invested
-            // active slots until the grant fits. The victim re-queues
-            // with its stream cached and resumes when pages free up —
-            // its own admission deadline (if any) was satisfied the
-            // moment it first held a slot, so nothing is lost but the
-            // re-prefill of its generated prefix.
-            if grant.is_err()
-                && p.emitted == 0
-                && p.req.deadline_us.is_some()
-                && demand_bytes <= pool.capacity()
-            {
-                if let (Some(pp), Some(known)) = (paged.as_ref(), paged_known.as_ref()) {
-                    while grant.is_err() {
-                        let victim = active
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| {
-                                (s.req.priority, s.emitted, std::cmp::Reverse(s.req.id))
-                            })
-                            .map(|(i, _)| i);
-                        let Some(i) = victim else { break };
-                        let Slot {
-                            req: v_req,
-                            tokens: v_tokens,
-                            emitted: v_emitted,
-                            first_token_us: v_first_token_us,
-                            crashes: v_crashes,
-                            slot_idx: v_slot_idx,
-                            kv: v_kv,
-                            ..
-                        } = active.swap_remove(i);
-                        // Return the victim's pages to the pool before
-                        // retrying the grant.
-                        drop(v_kv);
-                        stats.preemptions += 1;
-                        tracer.counter_add("serve.preemptions", 1);
-                        tracer.instant("serve.preempted", "serve");
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: v_req.id,
-                            slot: Some(v_slot_idx),
-                            phase: RequestPhase::Preempted,
-                        });
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: v_req.id,
-                            slot: None,
-                            phase: RequestPhase::Queued,
-                        });
-                        if flight.is_enabled() {
-                            flight.record(
-                                clock_us,
-                                "sched",
-                                format!(
-                                    "deadline-rescue preempt request={} pages for request={}",
-                                    v_req.id, p.req.id
-                                ),
-                            );
-                        }
-                        free_slot_ids.push(v_slot_idx);
-                        ready.push(Pending {
-                            req: v_req,
-                            tokens: Some(v_tokens),
-                            emitted: v_emitted,
-                            first_token_us: v_first_token_us,
-                            crashes: v_crashes,
-                        });
-                        grant = cfg
-                            .retry
-                            .run(|_| pp.admit(known, remaining).map(SlotKv::Paged), on_retry);
-                    }
-                }
-            }
-            match grant {
-                Ok(kv) => {
-                    let context = match &kv {
-                        // Exact residency: attention runs over the real
-                        // sequence, and no padding tokens are charged.
-                        SlotKv::Paged(seq) => {
-                            let shared = seq.shared_tokens();
-                            if shared > 0 {
-                                tracer.counter_add("serve.shared_prefix_hits", 1);
-                                tracer.counter_add("serve.shared_tokens", shared as u64);
-                            }
-                            prefill_span =
-                                prefill_span.max(p.effective_prompt_len() - shared);
-                            p.effective_prompt_len() as u64
-                        }
-                        SlotKv::Slab(_) => {
-                            let pad_tokens = (pad_len - p.effective_prompt_len()) as u64;
-                            padding += pad_tokens;
-                            tracer.counter_add("serve.padding_tokens", pad_tokens);
-                            prefill_span = pad_len;
-                            pad_len as u64
-                        }
-                    };
-                    tracer.counter_add("serve.admitted", 1);
-                    stats.admitted += 1;
-                    let slot_idx = free_slot_ids.pop().unwrap_or(0);
-                    obs.lifecycle.push(LifecycleEvent {
-                        t_us: clock_us,
-                        dur_us: 0,
-                        request: p.req.id,
-                        slot: Some(slot_idx),
-                        phase: RequestPhase::Admitted,
-                    });
-                    if flight.is_enabled() {
-                        flight.record(
-                            clock_us,
-                            "sched",
-                            format!(
-                                "admit request={} slot={slot_idx} lease_bytes={demand_bytes}",
-                                p.req.id
-                            ),
-                        );
-                    }
-                    // This admission's injected fates: both land at least
-                    // one token ahead, so every admission makes progress
-                    // and crash-retries terminate.
-                    let emitted = p.emitted;
-                    let fate = move |frac: f64| {
-                        emitted + ((frac * remaining as f64).floor() as usize).max(1)
-                    };
-                    let disconnect_at =
-                        cfg.fault.client_disconnect("serve.slot", p.req.id).map(fate);
-                    let crash_at = cfg
-                        .fault
-                        .slot_crash("serve.slot", p.req.id, p.crashes)
-                        .map(fate);
-                    admitted.push(Slot {
-                        tokens,
-                        emitted: p.emitted,
-                        context,
-                        first_token_us: p.first_token_us,
-                        disconnect_at,
-                        crash_at,
-                        crashes: p.crashes,
-                        slot_idx,
-                        req: p.req,
-                        kv,
-                    });
-                }
-                Err(err) => {
-                    if demand_bytes > pool.capacity() {
-                        // Unservable under this plan, ever.
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::PoolOverCommit {
-                                bytes: demand_bytes,
-                                capacity: pool.capacity(),
-                            },
-                        });
-                        driver.retire(p.req.id);
-                    } else if active.is_empty() && admitted.is_empty() {
-                        // Nothing holds a lease, so waiting frees no
-                        // bytes: the failure is not transient.
-                        tracer.counter_add("serve.rejected", 1);
-                        obs.lifecycle.push(LifecycleEvent {
-                            t_us: clock_us,
-                            dur_us: 0,
-                            request: p.req.id,
-                            slot: None,
-                            phase: RequestPhase::Shed,
-                        });
-                        rejections.push(Rejection {
-                            id: p.req.id,
-                            reason: RejectReason::AdmissionFailed(err.to_string()),
-                        });
-                        driver.retire(p.req.id);
-                    } else {
-                        // Defer to the next boundary; leases retire there.
-                        tracer.counter_add("serve.deferred", 1);
-                        p.tokens = Some(tokens);
-                        ready.push(p);
-                    }
-                }
-            }
+        let mut round = Round {
+            pad_len: candidates
+                .iter()
+                .map(|(p, _)| p.effective_prompt_len())
+                .max()
+                .unwrap_or(0),
+            ..Round::default()
+        };
+        for (p, tokens) in candidates {
+            self.grant(&mut round, p, tokens);
         }
+        self.prefill(round);
+    }
 
-        if !admitted.is_empty() {
-            // Paged mode prefills only unshared tokens (shared-prefix KV
-            // is already resident); slab mode pays the padded envelope.
-            let dt = backend.prefill_seconds(prefill_span.max(1), admitted.len()) * degrade_factor;
-            let prefill_start = clock_us;
-            clock_us += micros(dt);
-            tracer.histogram_record("serve.prefill_s", dt);
-            for slot in &admitted {
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: prefill_start,
-                    dur_us: micros(dt),
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Prefill,
+    /// One attempt (with the configured retries) at a candidate's KV:
+    /// pages for its `known` tokens in paged mode, a `bytes` slab
+    /// otherwise.
+    fn try_kv(
+        &self,
+        known: Option<&[u32]>,
+        remaining: usize,
+        bytes: usize,
+    ) -> Result<SlotKv, RetryError<PoolExhausted>> {
+        let cfg = self.cfg;
+        let on_retry = |_: u32, _: &PoolExhausted| {
+            cfg.fault.note_retry();
+            cfg.tracer.counter_add("serve.admission_retries", 1);
+        };
+        match (self.paged.as_ref(), known) {
+            (Some(pp), Some(known)) => cfg
+                .retry
+                .run(|_| pp.admit(known, remaining).map(SlotKv::Paged), on_retry),
+            _ => cfg
+                .retry
+                .run(|_| self.pool.alloc(bytes).map(SlotKv::Slab), on_retry),
+        }
+    }
+
+    /// Grant one candidate its KV and admit it into `round`; reject it
+    /// if the grant can never succeed, or defer it to the next boundary.
+    fn grant(&mut self, round: &mut Round, mut p: Pending, tokens: Vec<u32>) {
+        let remaining = tokens.len() - p.emitted;
+        let known: Option<Vec<u32>> = self.paged.is_some().then(|| {
+            p.req
+                .prompt
+                .iter()
+                .chain(&tokens[..p.emitted])
+                .copied()
+                .collect()
+        });
+        let demand_bytes = match (self.paged.as_ref(), known.as_ref()) {
+            (Some(pp), Some(known)) => {
+                pp.required_pages(known.len(), remaining) * pp.cfg().page_bytes()
+            }
+            _ => self.backend.kv_bytes_at(round.pad_len + remaining),
+        };
+        let mut grant = self.try_kv(known.as_deref(), remaining, demand_bytes);
+        // Deadline rescue (paged only): a queued deadline-holder must not
+        // starve behind residents that have no clock on them. Page
+        // granularity makes partial eviction cheap, so reclaim pages from
+        // the least-invested active slots until the grant fits. The
+        // victim re-queues with its stream cached and resumes when pages
+        // free up — its own admission deadline (if any) was satisfied the
+        // moment it first held a slot, so nothing is lost but the
+        // re-prefill of its generated prefix.
+        if self.paged.is_some()
+            && p.emitted == 0
+            && p.req.deadline_us.is_some()
+            && demand_bytes <= self.pool.capacity()
+        {
+            while grant.is_err() {
+                let Some(i) = self.least_invested(None) else {
+                    break;
+                };
+                let victim = self.active.swap_remove(i);
+                self.note(|| {
+                    format!(
+                        "deadline-rescue preempt request={} pages for request={}",
+                        victim.req.id, p.req.id
+                    )
                 });
+                self.requeue(victim, RequestPhase::Preempted);
+                grant = self.try_kv(known.as_deref(), remaining, demand_bytes);
             }
-            active.extend(admitted);
         }
+        let kv = match grant {
+            Ok(kv) => kv,
+            Err(err) => {
+                if demand_bytes > self.pool.capacity() {
+                    // Unservable under this plan, ever.
+                    let capacity = self.pool.capacity();
+                    let reason = RejectReason::PoolOverCommit {
+                        bytes: demand_bytes,
+                        capacity,
+                    };
+                    self.reject(p.req.id, reason);
+                } else if self.active.is_empty() && round.admitted.is_empty() {
+                    // Nothing holds a lease, so waiting frees no bytes:
+                    // the failure is not transient.
+                    self.reject(p.req.id, RejectReason::AdmissionFailed(err.to_string()));
+                } else {
+                    // Defer to the next boundary; leases retire there.
+                    self.cfg.tracer.counter_add("serve.deferred", 1);
+                    p.tokens = Some(tokens);
+                    self.ready.push(p);
+                }
+                return;
+            }
+        };
+        let tracer = &self.cfg.tracer;
+        let context = match &kv {
+            // Exact residency: attention runs over the real sequence, and
+            // no padding tokens are charged.
+            SlotKv::Paged(seq) => {
+                let shared = seq.shared_tokens();
+                if shared > 0 {
+                    tracer.counter_add("serve.shared_prefix_hits", 1);
+                    tracer.counter_add("serve.shared_tokens", shared as u64);
+                }
+                round.prefill_span = round.prefill_span.max(p.effective_prompt_len() - shared);
+                p.effective_prompt_len() as u64
+            }
+            SlotKv::Slab(_) => {
+                let pad_tokens = (round.pad_len - p.effective_prompt_len()) as u64;
+                self.out.padding_tokens += pad_tokens;
+                tracer.counter_add("serve.padding_tokens", pad_tokens);
+                round.prefill_span = round.pad_len;
+                round.pad_len as u64
+            }
+        };
+        tracer.counter_add("serve.admitted", 1);
+        self.out.stats.admitted += 1;
+        let slot_idx = self.free_slot_ids.pop().unwrap_or(0);
+        let id = p.req.id;
+        self.event(id, Some(slot_idx), RequestPhase::Admitted);
+        self.note(|| format!("admit request={id} slot={slot_idx} lease_bytes={demand_bytes}"));
+        // This admission's injected fates: both land at least one token
+        // ahead, so every admission makes progress and crash-retries
+        // terminate.
+        let emitted = p.emitted;
+        let fate = move |frac: f64| emitted + ((frac * remaining as f64).floor() as usize).max(1);
+        let fault = &self.cfg.fault;
+        let disconnect_at = fault.client_disconnect("serve.slot", id).map(fate);
+        let crash_at = fault.slot_crash("serve.slot", id, p.crashes).map(fate);
+        round.admitted.push(Slot {
+            tokens,
+            emitted,
+            context,
+            first_token_us: p.first_token_us,
+            disconnect_at,
+            crash_at,
+            crashes: p.crashes,
+            slot_idx,
+            req: p.req,
+            kv,
+        });
+    }
 
-        tracer.gauge_set("serve.queue_depth", (ready.len() + queue.len()) as f64);
-        tracer.gauge_set(
-            "serve.slot_occupancy",
-            active.len() as f64 / plan.slots.max(1) as f64,
-        );
-        // Per-boundary state sample (post-admission, pre-decode): what
-        // the drift audit integrates and the timeline's counter tracks.
-        let predicted_p99 = if ready.is_empty() {
+    /// Charge the admitted group's prefill and make it active. Paged mode
+    /// prefills only unshared tokens (shared-prefix KV is already
+    /// resident); slab mode pays the padded envelope.
+    fn prefill(&mut self, round: Round) {
+        if round.admitted.is_empty() {
+            return;
+        }
+        let dt = self
+            .backend
+            .prefill_seconds(round.prefill_span.max(1), round.admitted.len())
+            * self.degrade_factor;
+        let at = (self.clock_us, micros(dt));
+        self.clock_us += micros(dt);
+        self.cfg.tracer.histogram_record("serve.prefill_s", dt);
+        for slot in &round.admitted {
+            self.span(at, slot.req.id, Some(slot.slot_idx), RequestPhase::Prefill);
+        }
+        self.active.extend(round.admitted);
+    }
+
+    /// Terminal or idle-gap state sample: nothing queued or resident.
+    fn sample_idle(&mut self) {
+        self.out.obs.boundaries.push(BoundaryObs {
+            t_us: self.clock_us,
+            pending_arrivals: self.queue.len(),
+            slots: self.plan.slots,
+            degrade_factor: self.degrade_factor,
+            ..BoundaryObs::default()
+        });
+    }
+
+    /// Phase: per-boundary state sample (post-admission, pre-decode):
+    /// what the drift audit integrates and the timeline's counter
+    /// tracks.
+    fn sample_boundary(&mut self) {
+        let tracer = &self.cfg.tracer;
+        let (queued, active, slots) = (self.ready.len(), self.active.len(), self.plan.slots);
+        tracer.gauge_set("serve.queue_depth", (queued + self.queue.len()) as f64);
+        tracer.gauge_set("serve.slot_occupancy", active as f64 / slots.max(1) as f64);
+        let predicted_ttft_p99_us = if queued == 0 {
             None
         } else {
-            ttft_model(&plan, backend, &active, &ready, degrade_factor, paged.as_ref())
-                .predicted_p99_us(ready.len())
+            self.ttft_model().predicted_p99_us(queued)
         };
-        obs.boundaries.push(BoundaryObs {
-            t_us: clock_us,
-            queued: ready.len(),
-            pending_arrivals: queue.len(),
-            active_slots: active.len(),
-            slots: plan.slots,
-            pages_in_use: paged
-                .as_ref()
-                .map(|pp| pp.pages_in_use() as u64)
-                .unwrap_or(0),
-            pages_demand: paged
-                .as_ref()
-                .map(|pp| {
-                    active
-                        .iter()
-                        .map(|s| pp.required_pages(s.req.prompt.len(), s.req.gen_len) as u64)
-                        .sum()
-                })
-                .unwrap_or(0),
-            predicted_ttft_p99_us: predicted_p99,
-            degrade_factor,
+        let (pages_in_use, pages_demand) = self.paged.as_ref().map_or((0, 0), |pp| {
+            let demand = self
+                .active
+                .iter()
+                .map(|s| pp.required_pages(s.req.prompt.len(), s.req.gen_len) as u64)
+                .sum();
+            (pp.pages_in_use() as u64, demand)
         });
+        self.out.obs.boundaries.push(BoundaryObs {
+            t_us: self.clock_us,
+            queued,
+            pending_arrivals: self.queue.len(),
+            active_slots: active,
+            slots,
+            pages_in_use,
+            pages_demand,
+            predicted_ttft_p99_us,
+            degrade_factor: self.degrade_factor,
+        });
+    }
 
-        if active.is_empty() {
-            // Everything at this boundary was rejected; wait for traffic.
-            continue;
-        }
-
-        // ---- one decode step over the whole block ---------------------
-        let contexts: Vec<u64> = active.iter().map(|s| s.context).collect();
-        let dt = backend.decode_step_seconds(&contexts) * degrade_factor;
-        let step_start = clock_us;
-        clock_us += micros(dt);
-        tracer.histogram_record("serve.step_s", dt);
+    /// Phase: one decode step over the whole block, streaming a token to
+    /// every active slot.
+    fn decode_step(&mut self) -> Result<(), ServeError> {
+        let cfg = self.cfg;
+        let contexts: Vec<u64> = self.active.iter().map(|s| s.context).collect();
+        let dt = self.backend.decode_step_seconds(&contexts) * self.degrade_factor;
+        let step_start = self.clock_us;
+        self.clock_us += micros(dt);
+        cfg.tracer.histogram_record("serve.step_s", dt);
         // An injected transfer stall stretches this boundary (virtually).
-        boundary += 1;
-        if let Some(stall) = cfg.fault.transfer_stall("serve.step", boundary) {
+        self.boundary += 1;
+        if let Some(stall) = cfg.fault.transfer_stall("serve.step", self.boundary) {
             let stall_s = stall.as_secs_f64();
-            clock_us += micros(stall_s);
-            tracer.histogram_record("serve.stall_s", stall_s);
+            self.clock_us += micros(stall_s);
+            cfg.tracer.histogram_record("serve.stall_s", stall_s);
         }
         // A real-time driver blocks here until wall time catches the
         // modelled clock and may return a later value, so wall jitter
         // flows into step accounting, TTFT, and the deadline machinery.
         // The virtual driver is the identity.
-        clock_us = driver.pace(clock_us);
-        let step_dur = clock_us - step_start;
-
+        self.clock_us = self.driver.pace(self.clock_us);
+        let step = (step_start, self.clock_us - step_start);
+        let mut active = std::mem::take(&mut self.active);
         for slot in &mut active {
-            let token = slot.tokens[slot.emitted];
-            match driver.deliver(TokenEvent {
-                request_id: slot.req.id,
-                index: slot.emitted,
-                token,
-                t_us: clock_us,
-            }) {
-                Delivery::Delivered => {}
-                failed => {
-                    // Keep generating this step (the block already paid
-                    // for it); the next boundary sweep resolves the
-                    // request as a client disconnect.
-                    transport_drops.entry(slot.req.id).or_insert(failed);
-                }
-            }
-            // Land the token's KV in the slot's page table; a page still
-            // shared with another sequence forks copy-on-write here.
-            if let SlotKv::Paged(seq) = &mut slot.kv {
-                seq.append(token)?;
-            }
-            slot.emitted += 1;
-            slot.context += 1;
-            generated += 1;
-            tracer.counter_add("serve.tokens", 1);
-            obs.lifecycle.push(LifecycleEvent {
-                t_us: step_start,
-                dur_us: step_dur,
-                request: slot.req.id,
-                slot: Some(slot.slot_idx),
-                phase: RequestPhase::Decode,
-            });
-            if slot.first_token_us.is_none() {
-                slot.first_token_us = Some(clock_us);
-                let observed_us = clock_us.saturating_sub(slot.req.arrival_us);
-                tracer.histogram_record("serve.ttft_s", observed_us as f64 / 1e6);
-                if let Some(&predicted_us) = predicted_ttft.get(&slot.req.id) {
-                    obs.ttft.push(TtftSample {
-                        request: slot.req.id,
-                        predicted_us,
-                        observed_us,
-                    });
-                }
-                // A realized first token past the TTFT objective is the
-                // breach the flight recorder freezes on.
-                if flight.is_enabled() {
-                    if let Some(slo) = cfg.slo.as_ref() {
-                        if observed_us > slo.ttft_p99_us() {
-                            flight.trigger(
-                                &format!(
-                                    "slo_breach: request {} ttft {:.6}s > objective {:.6}s",
-                                    slot.req.id,
-                                    observed_us as f64 / 1e6,
-                                    slo.ttft_p99_s
-                                ),
-                                clock_us,
-                                tracer.snapshot().metrics,
-                            );
-                        }
-                    }
-                }
-            }
+            self.emit(slot, step)?;
         }
-
-        // ---- retire finished sequences (leases drop here) -------------
-        let mut kept = Vec::with_capacity(active.len());
-        for slot in active.drain(..) {
-            if slot.emitted >= slot.tokens.len() {
-                stats.completed += 1;
-                tracer.counter_add("serve.completed", 1);
-                tracer.histogram_record(
-                    "serve.latency_s",
-                    (clock_us.saturating_sub(slot.req.arrival_us)) as f64 / 1e6,
-                );
-                obs.lifecycle.push(LifecycleEvent {
-                    t_us: clock_us,
-                    dur_us: 0,
-                    request: slot.req.id,
-                    slot: Some(slot.slot_idx),
-                    phase: RequestPhase::Done,
-                });
-                free_slot_ids.push(slot.slot_idx);
-                // A transport failure on the final step loses the race:
-                // the stream is complete, so the request resolves as a
-                // response (matching the virtual path, where the last
-                // token always lands before any fate is swept).
-                transport_drops.remove(&slot.req.id);
-                responses.push(Response {
-                    id: slot.req.id,
-                    tokens: slot.tokens,
-                    arrival_us: slot.req.arrival_us,
-                    first_token_us: slot.first_token_us.unwrap_or(clock_us),
-                    finish_us: clock_us,
-                });
-                driver.retire(slot.req.id);
-            } else {
-                kept.push(slot);
-            }
-        }
-        active = kept;
+        self.active = active;
+        Ok(())
     }
 
-    debug_assert_eq!(
-        responses.len() + rejections.len() + cancellations.len(),
-        total
-    );
-    debug_assert!(stats.admissions_balanced(), "admissions must conserve");
-    let (kv_pages_peak, kv_pages_leaked, paging) = match paged.as_ref() {
-        Some(pp) => {
-            // Live LMA28x check: with every sequence retired, refcounts,
-            // page residency, and MemPool byte accounting must all be
-            // back at quiescence, and no write may ever have landed on a
-            // shared page.
-            debug_assert!(pp.accounting_balanced(), "page/byte accounting diverged");
-            let counters = pp.counters();
-            let s = pp.stats();
-            let probe = lm_analyze::PagingProbe {
+    /// Deliver `slot`'s next token, decoded over `step`, and land its KV.
+    fn emit(&mut self, slot: &mut Slot, step: (u64, u64)) -> Result<(), ServeError> {
+        let (cfg, tracer) = (self.cfg, &self.cfg.tracer);
+        let (id, clock_us) = (slot.req.id, self.clock_us);
+        let token = slot.tokens[slot.emitted];
+        let delivery = self.driver.deliver(TokenEvent {
+            request_id: id,
+            index: slot.emitted,
+            token,
+            t_us: clock_us,
+        });
+        if delivery != Delivery::Delivered {
+            // Keep generating this step (the block already paid for it);
+            // the next boundary sweep resolves the request as a client
+            // disconnect.
+            self.transport_drops.entry(id).or_insert(delivery);
+        }
+        // Land the token's KV in the slot's page table; a page still
+        // shared with another sequence forks copy-on-write here.
+        if let SlotKv::Paged(seq) = &mut slot.kv {
+            seq.append(token)?;
+        }
+        slot.emitted += 1;
+        slot.context += 1;
+        self.out.generated_tokens += 1;
+        tracer.counter_add("serve.tokens", 1);
+        self.span(step, id, Some(slot.slot_idx), RequestPhase::Decode);
+        if slot.first_token_us.is_some() {
+            return Ok(());
+        }
+        slot.first_token_us = Some(clock_us);
+        let observed_us = record_interval(tracer, "serve.ttft_s", slot.req.arrival_us, clock_us);
+        if let Some(&predicted_us) = self.predicted_ttft.get(&id) {
+            self.out.obs.ttft.push(TtftSample {
+                request: id,
+                predicted_us,
+                observed_us,
+            });
+        }
+        // A realized first token past the TTFT objective is the breach
+        // the flight recorder freezes on.
+        if let Some(slo) = cfg.slo.as_ref().filter(|_| cfg.flight.is_enabled()) {
+            if observed_us > slo.ttft_p99_us() {
+                cfg.flight.trigger(
+                    &format!(
+                        "slo_breach: request {id} ttft {:.6}s > objective {:.6}s",
+                        observed_us as f64 / 1e6,
+                        slo.ttft_p99_s
+                    ),
+                    clock_us,
+                    tracer.snapshot().metrics,
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase: retire finished sequences; their KV drops here.
+    fn retire(&mut self) {
+        let tracer = &self.cfg.tracer;
+        for slot in std::mem::take(&mut self.active) {
+            if slot.emitted < slot.tokens.len() {
+                self.active.push(slot);
+                continue;
+            }
+            let (id, arrival_us, clock_us) = (slot.req.id, slot.req.arrival_us, self.clock_us);
+            self.out.stats.completed += 1;
+            tracer.counter_add("serve.completed", 1);
+            record_interval(tracer, "serve.latency_s", arrival_us, clock_us);
+            self.event(id, Some(slot.slot_idx), RequestPhase::Done);
+            self.free_slot_ids.push(slot.slot_idx);
+            // A transport failure on the final step loses the race: the
+            // stream is complete, so the request resolves as a response
+            // (matching the virtual path, where the last token always
+            // lands before any fate is swept).
+            self.transport_drops.remove(&id);
+            self.out.responses.push(Response {
+                id,
+                tokens: slot.tokens,
+                arrival_us,
+                first_token_us: slot.first_token_us.unwrap_or(clock_us),
+                finish_us: clock_us,
+            });
+            self.driver.retire(id);
+        }
+    }
+
+    /// Phase: check the end-of-run conservation laws and assemble the
+    /// outcome. Every request resolved exactly once, every admission
+    /// ended exactly once, and in paged mode refcounts, page residency
+    /// and MemPool byte accounting are back at quiescence with no write
+    /// ever landed on a shared page (the live `LMA28x` check).
+    fn finish(self) -> Result<(ServePlan, ServeOutcome), ServeError> {
+        let mut out = self.out;
+        let violation = |law: String| Err(ServeError::Conservation(law));
+        if out.terminal_count() != self.total {
+            return violation(format!(
+                "{} of {} requests reached a terminal state",
+                out.terminal_count(),
+                self.total
+            ));
+        }
+        if !out.stats.admissions_balanced() {
+            return violation(format!("admissions do not balance: {:?}", out.stats));
+        }
+        if let Some(pp) = self.paged.as_ref() {
+            if !pp.accounting_balanced() {
+                return violation("page/byte accounting diverged".to_string());
+            }
+            let (counters, paging) = (pp.counters(), pp.stats());
+            let plan = &self.plan;
+            let report = lm_analyze::lint_paging(&lm_analyze::PagingProbe {
                 page_tokens: plan.page_tokens,
                 page_bytes: plan.page_bytes,
                 bytes_per_token: plan.page_bytes / plan.page_tokens.max(1),
@@ -1328,74 +1219,34 @@ pub(crate) fn run_continuous(
                 pages_in_use: counters.pages_in_use,
                 page_refcount_sum: counters.refcount_sum,
                 seq_mapped_pages: counters.refcount_sum,
-                shared_write_violations: s.shared_write_violations,
-            };
-            debug_assert!(
-                lm_analyze::lint_paging(&probe).is_clean(),
-                "{}",
-                lm_analyze::lint_paging(&probe)
-            );
-            (pp.peak_pages() as u64, pp.pages_in_use() as u64, s)
+                shared_write_violations: paging.shared_write_violations,
+            });
+            if !report.is_clean() {
+                return violation(format!("paging lints failed:\n{report}"));
+            }
+            out.kv_pages_peak = pp.peak_pages() as u64;
+            out.kv_pages_leaked = pp.pages_in_use() as u64;
+            out.shared_prefix_hits = paging.shared_hits;
+            out.shared_tokens = paging.shared_tokens;
+            out.cow_forks = paging.cow_forks;
         }
-        None => (0, 0, lm_kvpool::PagingStats::default()),
-    };
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    cancellations.sort_by_key(|c| c.id);
-    Ok((
-        plan,
-        ServeOutcome {
-            responses,
-            rejections,
-            cancellations,
-            sim_seconds: clock_us as f64 / 1e6,
-            generated_tokens: generated,
-            padding_tokens: padding,
-            kv_peak_bytes: pool.peak(),
-            kv_leaked_bytes: pool.used(),
-            deadline_misses,
-            stats,
-            kv_pages_peak,
-            kv_pages_leaked,
-            shared_prefix_hits: paging.shared_hits,
-            shared_tokens: paging.shared_tokens,
-            cow_forks: paging.cow_forks,
-            obs,
-        },
-    ))
-}
-
-/// Terminalize a queued request whose cancel token fired (shared by the
-/// retain sweep, which cannot move out of its closure argument).
-fn stats_cancel_queued(
-    tracer: &lm_trace::Tracer,
-    cancellations: &mut Vec<Cancellation>,
-    p: &Pending,
-    clock_us: u64,
-) {
-    tracer.counter_add("serve.cancelled", 1);
-    cancellations.push(Cancellation {
-        id: p.req.id,
-        reason: CancelReason::Explicit,
-        delivered: p.emitted,
-        cancel_us: clock_us,
-    });
+        out.kv_peak_bytes = self.pool.peak();
+        out.kv_leaked_bytes = self.pool.used();
+        Ok((self.plan, out.closed_at(self.clock_us)))
+    }
 }
 
 /// Baseline 1: one call per request, in arrival order — each request
 /// pays its own full weight stream (no amortisation at all).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).mode(ServeMode::Sequential).run(requests)`"
-)]
-pub fn serve_sequential(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    run_sequential(backend, cfg, requests)
-}
-
+///
+/// The baselines are separate loops, not admission policies of
+/// [`Scheduler`] run with one slot or a fixed group: sequential charges
+/// token `i`'s decode at context `prompt + i + 1` where the core charges
+/// the slot's pre-increment context `prompt + i`, static batching
+/// charges every member the padded context for the group's longest
+/// generation and releases responses together, and neither records
+/// obs, admission stats or KV. Folding them into the core would change
+/// the committed `results/serve.json` rows.
 pub(crate) fn run_sequential(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
@@ -1404,39 +1255,21 @@ pub(crate) fn run_sequential(
     let tracer = &cfg.tracer;
     let mut queue: Vec<Request> = requests;
     queue.sort_by_key(|r| (r.arrival_us, r.id));
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
+    let mut out = ServeOutcome::default();
     let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut deadline_misses = 0u64;
     for req in queue {
         clock_us = clock_us.max(req.arrival_us);
         // Report (never enforce) admission deadlines: service starting
         // past the deadline counts as a miss, keeping the baseline
         // comparable with the continuous scheduler's rejections.
         if req.deadline_us.is_some_and(|d| d < clock_us) {
-            deadline_misses += 1;
+            out.deadline_misses += 1;
             tracer.counter_add("serve.deadline_miss", 1);
         }
-        if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-            backend.model(),
-            std::slice::from_ref(&req.prompt),
-            req.gen_len,
-            1,
-        ) {
-            rejections.push(Rejection {
-                id: req.id,
-                reason: RejectReason::Invalid(reason),
-            });
-            continue;
-        }
-        let tokens = match backend.materialize(&req) {
+        let tokens = match materialize(backend, &req) {
             Ok(t) => t,
-            Err(e) => {
-                rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::AdmissionFailed(e.to_string()),
-                });
+            Err(reason) => {
+                out.rejections.push(Rejection { id: req.id, reason });
                 continue;
             }
         };
@@ -1446,18 +1279,12 @@ pub(crate) fn run_sequential(
             clock_us += micros(backend.decode_step_seconds(&[(req.prompt.len() + i + 1) as u64]));
             if first_token_us.is_none() {
                 first_token_us = Some(clock_us);
-                tracer.histogram_record(
-                    "serve.ttft_s",
-                    (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-                );
+                record_interval(tracer, "serve.ttft_s", req.arrival_us, clock_us);
             }
-            generated += 1;
+            out.generated_tokens += 1;
         }
-        tracer.histogram_record(
-            "serve.latency_s",
-            (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-        );
-        responses.push(Response {
+        record_interval(tracer, "serve.latency_s", req.arrival_us, clock_us);
+        out.responses.push(Response {
             id: req.id,
             first_token_us: first_token_us.unwrap_or(clock_us),
             finish_us: clock_us,
@@ -1465,61 +1292,27 @@ pub(crate) fn run_sequential(
             tokens,
         });
     }
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    Ok(ServeOutcome {
-        responses,
-        rejections,
-        cancellations: Vec::new(),
-        sim_seconds: clock_us as f64 / 1e6,
-        generated_tokens: generated,
-        padding_tokens: 0,
-        kv_peak_bytes: 0,
-        kv_leaked_bytes: 0,
-        deadline_misses,
-        stats: ServeStats::default(),
-        kv_pages_peak: 0,
-        kv_pages_leaked: 0,
-        shared_prefix_hits: 0,
-        shared_tokens: 0,
-        cow_forks: 0,
-        obs: ServeObs::default(),
-    })
+    Ok(out.closed_at(clock_us))
 }
 
 /// Baseline 2: naive static batching — fixed groups of `batch` in
 /// arrival order; a group waits for its last member to arrive, pads
 /// prompts *and* generation lengths to the group max, and releases every
 /// response only when the whole group finishes.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ServeSession::new(backend).mode(ServeMode::Static { batch }).run(requests)`"
-)]
-pub fn serve_static(
-    backend: &dyn ServeBackend,
-    cfg: &ServeConfig,
-    batch: usize,
-    requests: Vec<Request>,
-) -> Result<ServeOutcome, ServeError> {
-    run_static(backend, cfg, batch, requests)
-}
-
 pub(crate) fn run_static(
     backend: &dyn ServeBackend,
     cfg: &ServeConfig,
     batch: usize,
     requests: Vec<Request>,
 ) -> Result<ServeOutcome, ServeError> {
-    assert!(batch >= 1, "batch must be positive");
+    if batch == 0 {
+        return Err(ServeError::Mode("static batching needs batch >= 1".into()));
+    }
     let tracer = &cfg.tracer;
     let mut queue: Vec<Request> = requests;
     queue.sort_by_key(|r| (r.arrival_us, r.id));
-    let mut responses = Vec::new();
-    let mut rejections = Vec::new();
+    let mut out = ServeOutcome::default();
     let mut clock_us = 0u64;
-    let mut generated = 0u64;
-    let mut padding = 0u64;
-    let mut deadline_misses = 0u64;
     for chunk in queue.chunks(batch) {
         // The batch forms only when its last member has arrived.
         let formed = chunk.iter().map(|r| r.arrival_us).max().unwrap_or(0);
@@ -1528,30 +1321,15 @@ pub(crate) fn run_static(
         // waits to form — the static scheduler's signature failure mode.
         for req in chunk {
             if req.deadline_us.is_some_and(|d| d < clock_us) {
-                deadline_misses += 1;
+                out.deadline_misses += 1;
                 tracer.counter_add("serve.deadline_miss", 1);
             }
         }
         let mut members: Vec<(&Request, Vec<u32>)> = Vec::new();
         for req in chunk {
-            if let Err(EngineError::InvalidRequest { reason }) = validate_request(
-                backend.model(),
-                std::slice::from_ref(&req.prompt),
-                req.gen_len,
-                1,
-            ) {
-                rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::Invalid(reason),
-                });
-                continue;
-            }
-            match backend.materialize(req) {
+            match materialize(backend, req) {
                 Ok(t) => members.push((req, t)),
-                Err(e) => rejections.push(Rejection {
-                    id: req.id,
-                    reason: RejectReason::AdmissionFailed(e.to_string()),
-                }),
+                Err(reason) => out.rejections.push(Rejection { id: req.id, reason }),
             }
         }
         if members.is_empty() {
@@ -1560,7 +1338,7 @@ pub(crate) fn run_static(
         let pad_len = members.iter().map(|(r, _)| r.prompt.len()).max().unwrap_or(1);
         let max_gen = members.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
         for (r, t) in &members {
-            padding += (pad_len - r.prompt.len()) as u64 + (max_gen - t.len()) as u64;
+            out.padding_tokens += (pad_len - r.prompt.len()) as u64 + (max_gen - t.len()) as u64;
         }
         clock_us += micros(backend.prefill_seconds(pad_len, members.len()));
         let mut firsts: Vec<Option<u64>> = vec![None; members.len()];
@@ -1571,7 +1349,7 @@ pub(crate) fn run_static(
             clock_us += micros(backend.decode_step_seconds(&contexts));
             for (m, (_, tokens)) in members.iter().enumerate() {
                 if step < tokens.len() {
-                    generated += 1;
+                    out.generated_tokens += 1;
                     if firsts[m].is_none() {
                         firsts[m] = Some(clock_us);
                     }
@@ -1581,15 +1359,9 @@ pub(crate) fn run_static(
         // Naive release: the whole batch returns together.
         for (m, (req, tokens)) in members.into_iter().enumerate() {
             let first = firsts[m].unwrap_or(clock_us);
-            tracer.histogram_record(
-                "serve.ttft_s",
-                (first.saturating_sub(req.arrival_us)) as f64 / 1e6,
-            );
-            tracer.histogram_record(
-                "serve.latency_s",
-                (clock_us.saturating_sub(req.arrival_us)) as f64 / 1e6,
-            );
-            responses.push(Response {
+            record_interval(tracer, "serve.ttft_s", req.arrival_us, first);
+            record_interval(tracer, "serve.latency_s", req.arrival_us, clock_us);
+            out.responses.push(Response {
                 id: req.id,
                 tokens,
                 arrival_us: req.arrival_us,
@@ -1598,26 +1370,7 @@ pub(crate) fn run_static(
             });
         }
     }
-    responses.sort_by_key(|r| r.id);
-    rejections.sort_by_key(|r| r.id);
-    Ok(ServeOutcome {
-        responses,
-        rejections,
-        cancellations: Vec::new(),
-        sim_seconds: clock_us as f64 / 1e6,
-        generated_tokens: generated,
-        padding_tokens: padding,
-        kv_peak_bytes: 0,
-        kv_leaked_bytes: 0,
-        deadline_misses,
-        stats: ServeStats::default(),
-        kv_pages_peak: 0,
-        kv_pages_leaked: 0,
-        shared_prefix_hits: 0,
-        shared_tokens: 0,
-        cow_forks: 0,
-        obs: ServeObs::default(),
-    })
+    Ok(out.closed_at(clock_us))
 }
 
 #[cfg(test)]
@@ -1633,9 +1386,7 @@ mod tests {
         (b, reqs)
     }
 
-    // The suite drives the scheduler through the unified ServeSession
-    // API (the deprecated free-function shims are covered by a
-    // dedicated delegation test in `session`).
+    // The suite drives the scheduler through the ServeSession API.
     fn continuous(
         b: &dyn ServeBackend,
         cfg: &ServeConfig,
@@ -2007,6 +1758,15 @@ mod tests {
         let stat = static_batch(&b, &ServeConfig::default(), 2, vec![doomed, late]).unwrap();
         assert_eq!(stat.deadline_misses, 1, "batch forms after the deadline");
         assert_eq!(stat.responses.len(), 2);
+    }
+
+    #[test]
+    fn static_batch_of_zero_is_a_typed_error() {
+        let (b, reqs) = traffic(4);
+        match static_batch(&b, &ServeConfig::default(), 0, reqs) {
+            Err(ServeError::Mode(msg)) => assert!(msg.contains("batch"), "{msg}"),
+            other => panic!("expected ServeError::Mode, got ok={}", other.is_ok()),
+        }
     }
 
     #[test]

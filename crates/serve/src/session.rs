@@ -1,16 +1,14 @@
-//! The unified serve API (DESIGN.md §16): one builder —
-//! [`ServeSession`] — subsumes the four free functions the serving layer
-//! used to export (`serve_sequential`, `serve_static`,
-//! `serve_continuous`, `serve_continuous_with`) behind a single
-//! configuration surface, and adds the real-time front end
-//! ([`ServeSession::run_async`]) over the identical scheduler core.
+//! The serve API (DESIGN.md §16): one builder — [`ServeSession`] —
+//! picks the backend, the [`ServeMode`] and the [`ServeConfig`], and
+//! runs on the virtual clock or in real time over the same scheduler
+//! core.
 //!
 //! The three entry points share one state machine:
 //!
 //! - [`ServeSession::run`] / [`ServeSession::run_streaming`] — the
 //!   virtual-clock paths. Outcomes are a pure function of `(requests,
-//!   backend, config)`, byte-identical to the pre-redesign free
-//!   functions (a golden-file test holds `results/serve.json` to that).
+//!   backend, config)` (committed-golden tests hold the `results/*.json`
+//!   serve artifacts to that, byte for byte).
 //! - [`ServeSession::run_async`] — the scheduler runs on its own thread
 //!   behind an `AsyncDriver`: wall time (scaled by
 //!   [`AsyncConfig::time_scale`]) paces the modelled clock, each request
@@ -21,14 +19,12 @@
 //!   completions against solo `Engine::run` — only timing and delivery
 //!   move to wall clocks.
 
-use crate::admission::{derive_plan, KvMode, ServeConfig, ServeError, ServePlan};
+use crate::admission::{derive_plan, ServeConfig, ServeError, ServePlan};
 use crate::backend::ServeBackend;
-use crate::driver::{Delivery, NullDriver, ServeDriver, VirtualDriver};
+use crate::driver::{Delivery, ServeDriver, VirtualDriver};
 use crate::request::Request;
-use crate::scheduler::{run_continuous, run_sequential, run_static, ServeOutcome, TokenEvent};
-use crate::slo::{DegradeLadder, SloPolicy};
+use crate::scheduler::{run_sequential, run_static, Scheduler, ServeOutcome, TokenEvent};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::mpsc;
 use tokio::sync::mpsc::error::TrySendError;
@@ -57,22 +53,16 @@ pub struct ServeRun {
 }
 
 impl ServeRun {
-    /// Split into `(plan, outcome)`.
-    pub fn into_parts(self) -> (Option<ServePlan>, ServeOutcome) {
-        (self.plan, self.outcome)
-    }
-
     /// Split a continuous run into its admission plan and outcome.
-    ///
-    /// # Panics
-    ///
-    /// If the run came from a baseline mode ([`ServeMode::Sequential`] /
-    /// [`ServeMode::Static`]), which admit per-request instead of
-    /// deriving a slot plan.
-    pub fn into_continuous(self) -> (ServePlan, ServeOutcome) {
+    /// A baseline run ([`ServeMode::Sequential`] / [`ServeMode::Static`])
+    /// admits per request instead of deriving a slot plan, so it is a
+    /// [`ServeError::Mode`].
+    pub fn into_continuous(self) -> Result<(ServePlan, ServeOutcome), ServeError> {
         match self.plan {
-            Some(plan) => (plan, self.outcome),
-            None => panic!("into_continuous on a baseline run that carries no admission plan"),
+            Some(plan) => Ok((plan, self.outcome)),
+            None => Err(ServeError::Mode(
+                "into_continuous on a baseline run that carries no admission plan".to_string(),
+            )),
         }
     }
 }
@@ -135,7 +125,7 @@ impl TokenStreams {
 /// Builder over a backend + [`ServeConfig`] + [`ServeMode`]: the one
 /// serving entry point. Construction is infallible; feasibility is
 /// judged at `run*` time (`LMA25x`/`LMA26x` on the plan, `LMA30x` on the
-/// async front end), exactly as the free functions did.
+/// async front end).
 pub struct ServeSession<'b> {
     backend: &'b dyn ServeBackend,
     cfg: ServeConfig,
@@ -158,43 +148,9 @@ impl<'b> ServeSession<'b> {
         self
     }
 
-    /// Replace the whole [`ServeConfig`] (the escape hatch; the focused
-    /// setters below cover the common knobs).
+    /// Replace the whole [`ServeConfig`].
     pub fn config(mut self, cfg: ServeConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// KV backing for slots (paged is the default).
-    pub fn kv_mode(mut self, kv_mode: KvMode) -> Self {
-        self.cfg.kv_mode = kv_mode;
-        self
-    }
-
-    /// Concurrency ceiling (worst-case-slab budget; see
-    /// [`ServeConfig::max_slots`]).
-    pub fn max_slots(mut self, max_slots: usize) -> Self {
-        self.cfg.max_slots = max_slots;
-        self
-    }
-
-    /// Attach a TTFT objective (`None` by default: no prediction, no
-    /// actuation).
-    pub fn slo(mut self, slo: SloPolicy) -> Self {
-        self.cfg.slo = Some(slo);
-        self
-    }
-
-    /// Attach a degrade ladder for the SLO monitor's fallback actuator.
-    pub fn ladder(mut self, ladder: Arc<dyn DegradeLadder>) -> Self {
-        self.cfg.ladder = Some(ladder);
-        self
-    }
-
-    /// Attach a fault plan (chaos storms, injected disconnects/crashes,
-    /// pool pressure).
-    pub fn fault(mut self, fault: lm_fault::FaultInjector) -> Self {
-        self.cfg.fault = fault;
         self
     }
 
@@ -204,68 +160,31 @@ impl<'b> ServeSession<'b> {
         self
     }
 
-    /// Attach a flight recorder (frozen on the first SLO breach).
-    pub fn flight(mut self, flight: lm_trace::FlightRecorder) -> Self {
-        self.cfg.flight = flight;
-        self
-    }
-
-    /// The session's effective configuration (for tests and probes).
-    pub fn effective_config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
     /// Run on the virtual clock, discarding the token stream.
-    /// Byte-identical to the pre-redesign `serve_continuous` /
-    /// `serve_sequential` / `serve_static`.
     pub fn run(&self, requests: Vec<Request>) -> Result<ServeRun, ServeError> {
-        match self.mode {
-            ServeMode::Continuous => {
-                run_continuous(self.backend, &self.cfg, requests, &mut NullDriver).map(
-                    |(plan, outcome)| ServeRun {
-                        plan: Some(plan),
-                        outcome,
-                    },
-                )
-            }
-            ServeMode::Sequential => {
-                run_sequential(self.backend, &self.cfg, requests).map(|outcome| ServeRun {
-                    plan: None,
-                    outcome,
-                })
-            }
-            ServeMode::Static { batch } => {
-                run_static(self.backend, &self.cfg, batch, requests).map(|outcome| ServeRun {
-                    plan: None,
-                    outcome,
-                })
-            }
-        }
+        self.run_streaming(requests, &mut |_| {})
     }
 
-    /// Run on the virtual clock with synchronous per-token delivery
-    /// (byte-identical to the pre-redesign `serve_continuous_with`).
+    /// Run on the virtual clock with synchronous per-token delivery.
     /// Only the continuous scheduler streams; the baselines deliver no
     /// token events (they release whole responses, which is the point of
-    /// the comparison) and behave exactly like [`ServeSession::run`].
+    /// the comparison).
     pub fn run_streaming(
         &self,
         requests: Vec<Request>,
         on_token: &mut dyn FnMut(TokenEvent),
     ) -> Result<ServeRun, ServeError> {
-        match self.mode {
-            ServeMode::Continuous => run_continuous(
-                self.backend,
-                &self.cfg,
-                requests,
-                &mut VirtualDriver::new(on_token),
-            )
-            .map(|(plan, outcome)| ServeRun {
-                plan: Some(plan),
-                outcome,
-            }),
-            _ => self.run(requests),
-        }
+        let (backend, cfg) = (self.backend, &self.cfg);
+        let (plan, outcome) = match self.mode {
+            ServeMode::Continuous => {
+                let mut driver = VirtualDriver::new(on_token);
+                let (plan, outcome) = Scheduler::new(backend, cfg, requests, &mut driver)?.run()?;
+                (Some(plan), outcome)
+            }
+            ServeMode::Sequential => (None, run_sequential(backend, cfg, requests)?),
+            ServeMode::Static { batch } => (None, run_static(backend, cfg, batch, requests)?),
+        };
+        Ok(ServeRun { plan, outcome })
     }
 
     /// Run the continuous scheduler in real time: the scheduler paces
@@ -332,24 +251,16 @@ impl<'b> ServeSession<'b> {
                     scale: acfg.time_scale,
                     backpressure_grace: acfg.backpressure_grace,
                 };
-                run_continuous(backend, cfg, requests, &mut driver)
+                Scheduler::new(backend, cfg, requests, &mut driver)?.run()
             });
             // The client consumes on the calling thread; when it drops
             // receivers the scheduler sees closed channels and cancels.
             let client_out = client(streams);
             (sched.join(), client_out)
         });
-        match sched {
-            Ok(Ok((plan, outcome))) => Ok((
-                ServeRun {
-                    plan: Some(plan),
-                    outcome,
-                },
-                client_out,
-            )),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        let (plan, outcome) = sched.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        let plan = Some(plan);
+        Ok((ServeRun { plan, outcome }, client_out))
     }
 }
 
@@ -434,41 +345,17 @@ mod tests {
     }
 
     #[test]
-    fn session_run_matches_the_deprecated_free_functions() {
-        #![allow(deprecated)]
-        let (b, reqs) = traffic(12);
-        let cfg = ServeConfig::default();
-        let session = ServeSession::new(&b).config(cfg.clone());
-        let new = session.run(reqs.clone()).unwrap();
-        let (old_plan, old_out) =
-            crate::scheduler::serve_continuous(&b, &cfg, reqs.clone()).unwrap();
-        assert_eq!(new.plan.as_ref(), Some(&old_plan));
-        assert_eq!(
-            serde_json::to_string(&new.outcome).unwrap(),
-            serde_json::to_string(&old_out).unwrap(),
-            "ServeSession::run must byte-reproduce serve_continuous"
-        );
-
-        let seq_new = ServeSession::new(&b)
+    fn into_continuous_on_a_baseline_run_is_a_typed_error() {
+        let (b, reqs) = traffic(4);
+        let run = ServeSession::new(&b)
             .mode(ServeMode::Sequential)
-            .run(reqs.clone())
+            .run(reqs)
             .unwrap();
-        assert!(seq_new.plan.is_none(), "baselines do not plan");
-        let seq_old = crate::scheduler::serve_sequential(&b, &cfg, reqs.clone()).unwrap();
-        assert_eq!(
-            serde_json::to_string(&seq_new.outcome).unwrap(),
-            serde_json::to_string(&seq_old).unwrap()
-        );
-
-        let st_new = ServeSession::new(&b)
-            .mode(ServeMode::Static { batch: 4 })
-            .run(reqs.clone())
-            .unwrap();
-        let st_old = crate::scheduler::serve_static(&b, &cfg, 4, reqs).unwrap();
-        assert_eq!(
-            serde_json::to_string(&st_new.outcome).unwrap(),
-            serde_json::to_string(&st_old).unwrap()
-        );
+        assert!(run.plan.is_none(), "baselines do not plan");
+        match run.into_continuous() {
+            Err(ServeError::Mode(msg)) => assert!(msg.contains("baseline"), "{msg}"),
+            other => panic!("expected ServeError::Mode, got ok={}", other.is_ok()),
+        }
     }
 
     #[test]

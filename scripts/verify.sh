@@ -154,4 +154,16 @@ else
         || { echo "verify: an async serving gate failed" >&2; exit 1; }
 fi
 
+# Every deterministic artifact the lanes above regenerated must match its
+# committed copy byte for byte. trace.json, trace_drift.json and
+# async.json carry wall time and are deliberately left out.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "==> regenerated deterministic artifacts match the committed copies"
+    git diff --exit-code --stat -- \
+        results/{analyze,verify,serve,chaos,slo,obs,serve_timeline}.json \
+        || { echo "verify: a regenerated deterministic artifact differs from its committed copy" >&2; exit 1; }
+else
+    echo "==> not a git checkout; skipping the committed-artifact comparison"
+fi
+
 echo "verify: OK"

@@ -8,7 +8,7 @@
 use lm_engine::GenerateRequest;
 use lm_serve::{
     synth_traffic, AnalyticBackend, EngineBackend, RejectReason, Request, ServeBackend,
-    ServeConfig, ServeMode, ServeSession,
+    ServeConfig, ServeMode, ServeRun, ServeSession,
 };
 use proptest::prelude::*;
 
@@ -21,8 +21,8 @@ fn continuous_batching_dominates_baselines_on_opt_30b_traffic() {
     let (plan, cont) = ServeSession::new(&backend)
         .config(cfg.clone())
         .run(traffic.clone())
-        .unwrap()
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap();
     let seq = ServeSession::new(&backend)
         .config(cfg.clone())
         .mode(ServeMode::Sequential)
@@ -57,8 +57,8 @@ fn serving_runs_are_bit_identical_across_repetitions() {
     let backend = AnalyticBackend::opt_30b();
     let traffic = synth_traffic(7, 4.0, 32, backend.model());
     let session = ServeSession::new(&backend);
-    let (plan_a, a) = session.run(traffic.clone()).unwrap().into_continuous();
-    let (plan_b, b) = session.run(traffic).unwrap().into_continuous();
+    let (plan_a, a) = session.run(traffic.clone()).and_then(ServeRun::into_continuous).unwrap();
+    let (plan_b, b) = session.run(traffic).and_then(ServeRun::into_continuous).unwrap();
     assert_eq!(plan_a, plan_b);
     assert_eq!(a.responses, b.responses);
     assert_eq!(a.rejections, b.rejections);

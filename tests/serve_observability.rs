@@ -7,7 +7,7 @@
 
 use lm_serve::{
     serve_timeline, synth_traffic, EngineBackend, RequestPhase, ServeBackend, ServeConfig,
-    ServeSession,
+    ServeRun, ServeSession,
 };
 use lm_trace::Tracer;
 
@@ -32,8 +32,8 @@ fn engine_backend_drift_audit_holds_at_the_default_seed() {
     let (plan, out) = ServeSession::new(&backend)
         .config(cfg)
         .run(traffic)
-        .unwrap()
-        .into_continuous();
+        .and_then(ServeRun::into_continuous)
+        .unwrap();
     assert!(!out.responses.is_empty());
     assert!(!out.obs.ttft.is_empty(), "first tokens must be audited");
 
@@ -56,7 +56,7 @@ fn engine_backend_drift_audit_holds_at_the_default_seed() {
 fn engine_backend_lifecycle_balances_and_exports_a_timeline() {
     let backend = EngineBackend::tiny_test(SEED).unwrap();
     let traffic = synth_traffic(SEED, 4.0, 12, backend.model());
-    let (plan, out) = ServeSession::new(&backend).run(traffic).unwrap().into_continuous();
+    let (plan, out) = ServeSession::new(&backend).run(traffic).and_then(ServeRun::into_continuous).unwrap();
 
     let count = |phase: RequestPhase| {
         out.obs
