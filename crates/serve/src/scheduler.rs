@@ -6,7 +6,7 @@
 //! microseconds) advanced only by the backend's modelled task costs.
 //! Admission order is a total order — `(priority desc, arrival asc, id
 //! asc)` — and every block boundary runs the same phases in the same
-//! order (see [`Scheduler`]), so a run is a pure function of
+//! order (see `Scheduler`), so a run is a pure function of
 //! `(requests, backend, config)`: byte-identical outcomes across runs
 //! and machines.
 //!
